@@ -19,7 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from prnukit.denoise import DenoiserSpec  # noqa: E402
-from prnukit.fingerprint import clean_fingerprint, estimate_fingerprint, residual  # noqa: E402
+from prnukit.fingerprint import FingerprintAccumulator, clean_fingerprint, residual  # noqa: E402
 from prnukit.imaging import save_image, to_luminance  # noqa: E402
 from prnukit.ispsim import DEFAULT_PIPELINES, capture, develop, synth_scene, synth_sensor  # noqa: E402
 from prnukit.localization import pce_map, probability_map, render_map, save_map_json  # noqa: E402
@@ -27,13 +27,12 @@ from prnukit.localization import pce_map, probability_map, render_map, save_map_
 
 def simulate_camera(seed: int, size: int, pipeline, denoiser, n_est: int):
     sensor = synth_sensor(size, size, strength=0.02, seed=seed)
-    imgs, res = [], []
+    acc = FingerprintAccumulator()
     for i in range(n_est):
         scene = synth_scene(size, size, "flat", level=0.4 + 0.05 * (i % 5))
         lum = to_luminance(develop(capture(scene, sensor, seed=seed * 1000 + i), pipeline))
-        imgs.append(lum)
-        res.append(residual(lum, denoiser))
-    fp = clean_fingerprint(estimate_fingerprint(imgs, res))
+        acc.add(lum, residual(lum, denoiser))
+    fp = clean_fingerprint(acc.finish())
     return sensor, fp
 
 

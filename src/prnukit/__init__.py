@@ -7,6 +7,7 @@ from .errors import DegenerateInputError, FormatError, ShapeError
 from .fingerprint import (
     SATURATION_THRESHOLD,
     Fingerprint,
+    FingerprintAccumulator,
     clean_fingerprint,
     estimate_fingerprint,
     load_fingerprint,
@@ -49,6 +50,7 @@ __all__ = [
     "DegenerateInputError",
     "DenoiserSpec",
     "Fingerprint",
+    "FingerprintAccumulator",
     "FormatError",
     "HeatMap",
     "PatchGrid",

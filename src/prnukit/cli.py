@@ -16,8 +16,8 @@ from .denoise import DenoiserSpec
 from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation
 from .fingerprint import (
     SATURATION_THRESHOLD,
+    FingerprintAccumulator,
     clean_fingerprint,
-    estimate_fingerprint,
     load_fingerprint,
     residual,
     save_fingerprint,
@@ -50,21 +50,14 @@ def cmd_estimate(args) -> int:
         print(f"error: no files match {args.images}", file=sys.stderr)
         return 2
     denoiser = _parse_denoiser(args.denoiser)
-    images = [to_luminance(load_image(p)) for p in paths]
-    shape = images[0].shape
-    for p, im in zip(paths, images):
-        if im.shape != shape:
-            raise ShapeError(
-                f"{p}: shape {im.shape[::-1]} differs from {shape[::-1]}"
-            )
-    residuals = [residual(im, denoiser) for im in images]
-    fp = estimate_fingerprint(
-        images,
-        residuals,
-        camera_id=args.camera,
-        pipeline_id=args.pipeline,
-        saturation_threshold=args.saturation_threshold,
-    )
+    acc = FingerprintAccumulator(args.saturation_threshold)
+    for p in paths:
+        im = to_luminance(load_image(p))
+        try:
+            acc.add(im, residual(im, denoiser))
+        except ShapeError as exc:
+            raise ShapeError(f"{p}: {exc}") from None
+    fp = acc.finish(camera_id=args.camera, pipeline_id=args.pipeline)
     fp = clean_fingerprint(fp, whiten=args.whiten)
     save_fingerprint(fp, args.out)
     h, w = fp.plane.shape

@@ -25,16 +25,17 @@ from .errors import ShapeError
 from .fingerprint import (
     SATURATION_THRESHOLD,
     Fingerprint,
+    FingerprintAccumulator,
     clean_fingerprint,
-    estimate_fingerprint,
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, save_image, to_luminance
+from .imaging import load_image, save_image, tile_patches, to_luminance
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, capture, develop, synth_scene, synth_sensor
 from .matching import align, match_patch, ncc
 
 DEFAULT_TARGET_FPR = 0.005
+DEFAULT_PATCH_SIZES = (128,)
 
 # Scene kind cycles (odd length, so interleaved split halves see every kind).
 _EST_MIX = (("flat", 0.4), ("texture", 0.0), ("flat", 0.6), ("gradient", 0.0), ("flat", 0.75))
@@ -64,7 +65,7 @@ class ExperimentConfig:
     pipelines: tuple = DEFAULT_PIPELINES
     n_estimation: int = 20
     n_test: int = 20
-    patch_sizes: tuple = (128,)
+    patch_sizes: tuple = DEFAULT_PATCH_SIZES
     estimation_pipeline: str = ""
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
     max_shift: int = 16
@@ -128,7 +129,7 @@ class ExperimentConfig:
             pipelines=pipelines,
             n_estimation=int(obj.get("n_estimation", 20)),
             n_test=int(obj.get("n_test", 20)),
-            patch_sizes=tuple(int(s) for s in obj.get("patch_sizes", (128,))),
+            patch_sizes=tuple(int(s) for s in obj.get("patch_sizes", DEFAULT_PATCH_SIZES)),
             estimation_pipeline=obj.get("estimation_pipeline", ""),
             max_shift=int(obj.get("max_shift", 16)),
             output_dir=obj.get("output_dir", ""),
@@ -194,11 +195,6 @@ class DatasetManifest:
         return cls(root, json.loads((root / "manifest.json").read_text()))
 
 
-def _scene_for(mix, idx: int):
-    kind, level = mix[idx % len(mix)]
-    return kind, level
-
-
 def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
     """Capture every raw once per camera and develop it through every pipeline.
 
@@ -231,7 +227,7 @@ def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
         for split, count, mix, base in splits:
             for i in range(count):
                 img_idx = base + i
-                kind, level = _scene_for(mix, i)
+                kind, level = mix[i % len(mix)]
                 scene = synth_scene(
                     config.width,
                     config.height,
@@ -252,13 +248,7 @@ def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
                     images[cam][pipe.id][split].append(rel)
     data = {
         "seed": config.seed,
-        "sensor": {
-            "width": config.width,
-            "height": config.height,
-            "strength": config.strength,
-            "read_noise_std": config.read_noise_std,
-            "shot_noise_scale": config.shot_noise_scale,
-        },
+        "sensor": config.to_json()["sensor"],
         "cameras": list(config.cameras),
         "pipelines": [p.to_json() for p in config.pipelines],
         "n_estimation": config.n_estimation,
@@ -281,21 +271,6 @@ class FingerprintSet:
     half_b: Fingerprint
 
 
-def fingerprint_from_paths(
-    paths,
-    denoiser: DenoiserSpec,
-    camera_id: str = "",
-    pipeline_id: str = "",
-    saturation_threshold: Optional[float] = SATURATION_THRESHOLD,
-) -> Fingerprint:
-    imgs = [to_luminance(load_image(p)) for p in paths]
-    res = [residual(im, denoiser) for im in imgs]
-    fp = estimate_fingerprint(
-        imgs, res, camera_id, pipeline_id, saturation_threshold=saturation_threshold
-    )
-    return clean_fingerprint(fp)
-
-
 def estimate_fingerprint_sets(
     manifest: DatasetManifest,
     denoiser: Optional[DenoiserSpec] = None,
@@ -303,34 +278,27 @@ def estimate_fingerprint_sets(
 ) -> dict:
     """Per (camera, pipeline id): full and half-split fingerprints.
 
-    Residuals are computed once per image and reused for all three
-    estimates; halves interleave even/odd estimation indices so both see
-    the same scene mix.
+    One pass over the estimation images: each residual is computed once and
+    added to the full estimate and to one half; halves interleave even/odd
+    estimation indices so both see the same scene mix.
     """
     if denoiser is None:
         denoiser = DenoiserSpec()
     sets = {}
     for cam in manifest.cameras:
         for pid in manifest.pipeline_ids:
-            paths = manifest.image_paths(cam, pid, "estimation")
-            imgs = [to_luminance(load_image(p)) for p in paths]
-            res = [residual(im, denoiser) for im in imgs]
-
-            def _clean_est(idx):
-                fp = estimate_fingerprint(
-                    [imgs[i] for i in idx],
-                    [res[i] for i in idx],
-                    cam,
-                    pid,
-                    saturation_threshold=saturation_threshold,
-                )
-                return clean_fingerprint(fp)
-
-            n = len(imgs)
+            full = FingerprintAccumulator(saturation_threshold)
+            halves = (
+                FingerprintAccumulator(saturation_threshold),
+                FingerprintAccumulator(saturation_threshold),
+            )
+            for i, path in enumerate(manifest.image_paths(cam, pid, "estimation")):
+                img = to_luminance(load_image(path))
+                res = residual(img, denoiser)
+                full.add(img, res)
+                halves[i % 2].add(img, res)
             sets[(cam, pid)] = FingerprintSet(
-                full=_clean_est(range(n)),
-                half_a=_clean_est(range(0, n, 2)),
-                half_b=_clean_est(range(1, n, 2)),
+                *(clean_fingerprint(acc.finish(cam, pid)) for acc in (full, *halves))
             )
     return sets
 
@@ -475,9 +443,6 @@ def read_score_records(path):
         return [ScoreRecord.from_json(json.loads(line)) for line in fh if line.strip()]
 
 
-DEFAULT_PATCH_SIZES = (128, 256, 512, 1024)
-
-
 def pce_sweep(
     manifest: DatasetManifest,
     fingerprints: dict,
@@ -509,36 +474,31 @@ def pce_sweep(
                 rel = str(path.relative_to(manifest.root))
                 for cam_fp in manifest.cameras:
                     fp = fingerprints[(cam_fp, estimation_pipeline)]
-                    h = min(fp.plane.shape[0], img.shape[0])
-                    w = min(fp.plane.shape[1], img.shape[1])
+                    cimg, cres, _ = common_crop_planes([img, res, fp.plane])
                     label = "positive" if cam_fp == cam_test else "negative"
                     for size in patch_sizes:
-                        for iy in range(h // size):
-                            for ix in range(w // size):
-                                x, y = ix * size, iy * size
-                                score = match_patch(
-                                    img[y : y + size, x : x + size],
-                                    res[y : y + size, x : x + size],
-                                    fp,
-                                    (x, y),
-                                    exclusion_radius,
+                        if size > min(cimg.shape):
+                            continue
+                        grid = tile_patches(cimg, size)
+                        rgrid = tile_patches(cres, size)
+                        for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
+                            score = match_patch(pimg, pres, fp, origin, exclusion_radius)
+                            records.append(
+                                ScoreRecord(
+                                    camera_fp=cam_fp,
+                                    camera_test=cam_test,
+                                    pipeline_est=estimation_pipeline,
+                                    pipeline_test=pid,
+                                    patch_size=size,
+                                    origin=origin,
+                                    image=rel,
+                                    pce=score.pce,
+                                    peak_value=score.peak_value,
+                                    peak=score.peak_location,
+                                    p_value=score.p_value,
+                                    label=label,
                                 )
-                                records.append(
-                                    ScoreRecord(
-                                        camera_fp=cam_fp,
-                                        camera_test=cam_test,
-                                        pipeline_est=estimation_pipeline,
-                                        pipeline_test=pid,
-                                        patch_size=size,
-                                        origin=(x, y),
-                                        image=rel,
-                                        pce=score.pce,
-                                        peak_value=score.peak_value,
-                                        peak=score.peak_location,
-                                        p_value=score.p_value,
-                                        label=label,
-                                    )
-                                )
+                            )
     return records
 
 
@@ -581,6 +541,26 @@ def tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
     return float(curve.tpr[eligible & (curve.fpr == best)].max())
 
 
+def _detection_groups(records, estimation_pipeline: str):
+    """Yield (patch_size, group, pos, neg) PCE lists for every reported ROC.
+
+    ``group`` is "same" (test pipeline is the estimation pipeline) or
+    "cross"; groups lacking positives or negatives are skipped.
+    """
+    for size in sorted({r.patch_size for r in records}):
+        neg = [r.pce for r in records if r.label == "negative" and r.patch_size == size]
+        for group in ("same", "cross"):
+            pos = [
+                r.pce
+                for r in records
+                if r.label == "positive"
+                and r.patch_size == size
+                and ((r.pipeline_test == estimation_pipeline) == (group == "same"))
+            ]
+            if pos and neg:
+                yield size, group, pos, neg
+
+
 def summarize(
     records,
     estimation_pipeline: str,
@@ -617,29 +597,18 @@ def summarize(
                 }
             )
     detection = []
-    for size in sizes:
-        neg = [r.pce for r in records if r.label == "negative" and r.patch_size == size]
-        for group in ("same", "cross"):
-            pos = [
-                r.pce
-                for r in records
-                if r.label == "positive"
-                and r.patch_size == size
-                and ((r.pipeline_test == estimation_pipeline) == (group == "same"))
-            ]
-            if not pos or not neg:
-                continue
-            curve = roc(pos, neg)
-            detection.append(
-                {
-                    "patch_size": size,
-                    "group": group,
-                    "n_pos": len(pos),
-                    "n_neg": len(neg),
-                    "auc": curve.auc,
-                    "tpr_at_target": tpr_at_fpr(curve, target_fpr),
-                }
-            )
+    for size, group, pos, neg in _detection_groups(records, estimation_pipeline):
+        curve = roc(pos, neg)
+        detection.append(
+            {
+                "patch_size": size,
+                "group": group,
+                "n_pos": len(pos),
+                "n_neg": len(neg),
+                "auc": curve.auc,
+                "tpr_at_target": tpr_at_fpr(curve, target_fpr),
+            }
+        )
     return {
         "estimation_pipeline": estimation_pipeline,
         "target_fpr": target_fpr,
@@ -701,16 +670,7 @@ def report(
     )
     roc_rows = []
     records = list(records)
-    for entry in summary["detection"]:
-        size, group = entry["patch_size"], entry["group"]
-        neg = [r.pce for r in records if r.label == "negative" and r.patch_size == size]
-        pos = [
-            r.pce
-            for r in records
-            if r.label == "positive"
-            and r.patch_size == size
-            and ((r.pipeline_test == summary["estimation_pipeline"]) == (group == "same"))
-        ]
+    for size, group, pos, neg in _detection_groups(records, summary["estimation_pipeline"]):
         curve = roc(pos, neg)
         for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
             roc_rows.append([group, size, t, f, tp])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiserSpec, apply_denoiser, local_signal_variance
-from .errors import FormatError, ShapeError
+from .errors import DegenerateInputError, FormatError, ShapeError
 from .imaging import as_plane
 
 # Normalized-intensity level at and above which a sample is treated as
@@ -46,6 +46,57 @@ def residual(image, denoiser: DenoiserSpec) -> np.ndarray:
     return p - apply_denoiser(p, denoiser)
 
 
+class FingerprintAccumulator:
+    """Streaming form of the estimator: the two running sums of k.
+
+    Feed (image, residual) pairs one at a time with :meth:`add`; memory stays
+    at two H x W planes however many images are added. When
+    ``saturation_threshold`` is given, samples at or above it are excluded
+    from both sums on a per-image basis.
+    """
+
+    def __init__(self, saturation_threshold: float | None = None):
+        self.saturation_threshold = saturation_threshold
+        self.n = 0
+        self._num = None
+        self._den = None
+
+    def add(self, image, residual) -> None:
+        """Add one image and its residual to the sums.
+
+        The first call fixes the plane shape; a later mismatch raises
+        :class:`ShapeError`. Non-finite samples raise
+        :class:`DegenerateInputError`, since one would poison the estimate.
+        """
+        im, r = as_plane(image), as_plane(residual)
+        shape = im.shape if self._num is None else self._num.shape
+        for arr in (im, r):
+            if arr.shape != shape:
+                raise ShapeError(f"plane shape {arr.shape} differs from {shape}")
+        if not (np.isfinite(im).all() and np.isfinite(r).all()):
+            raise DegenerateInputError("image or residual has non-finite samples")
+        if self._num is None:
+            self._num = np.zeros(shape)
+            self._den = np.zeros(shape)
+        if self.saturation_threshold is not None:
+            keep = im < self.saturation_threshold
+            self._num += np.where(keep, r * im, 0.0)
+            self._den += np.where(keep, im * im, 0.0)
+        else:
+            self._num += r * im
+            self._den += im * im
+        self.n += 1
+
+    def finish(self, camera_id: str = "", pipeline_id: str = "") -> Fingerprint:
+        """The uncleaned estimate over everything added so far."""
+        if self.n == 0:
+            raise ValueError("need at least one image and one residual")
+        k = np.divide(
+            self._num, self._den, out=np.zeros(self._num.shape), where=self._den > 0
+        )
+        return Fingerprint(k, camera_id, pipeline_id, self.n)
+
+
 def estimate_fingerprint(
     images,
     residuals,
@@ -55,36 +106,17 @@ def estimate_fingerprint(
 ) -> Fingerprint:
     """Aggregate residuals into a fingerprint estimate.
 
-    ``images`` and ``residuals`` are equal-length lists of same-size planes.
-    When ``saturation_threshold`` is given, samples at or above it are
-    excluded from both sums on a per-image basis.
+    ``images`` and ``residuals`` are equal-length lists of same-size planes;
+    see :class:`FingerprintAccumulator` for the sums and their checks.
     """
-    if len(images) == 0 or len(residuals) == 0:
-        raise ValueError("need at least one image and one residual")
     if len(images) != len(residuals):
         raise ValueError(
             f"got {len(images)} images but {len(residuals)} residuals"
         )
-    planes = [as_plane(im) for im in images]
-    res = [as_plane(r) for r in residuals]
-    shape = planes[0].shape
-    for arr in planes + res:
-        if arr.shape != shape:
-            raise ShapeError(
-                f"all planes must share dimensions; got {arr.shape} vs {shape}"
-            )
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    for im, r in zip(planes, res):
-        if saturation_threshold is not None:
-            keep = im < saturation_threshold
-            num += np.where(keep, r * im, 0.0)
-            den += np.where(keep, im * im, 0.0)
-        else:
-            num += r * im
-            den += im * im
-    k = np.divide(num, den, out=np.zeros(shape), where=den > 0)
-    return Fingerprint(k, camera_id, pipeline_id, len(planes))
+    acc = FingerprintAccumulator(saturation_threshold)
+    for im, r in zip(images, residuals):
+        acc.add(im, r)
+    return acc.finish(camera_id, pipeline_id)
 
 
 def zero_mean_rows_cols(plane: np.ndarray) -> np.ndarray:

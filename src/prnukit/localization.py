@@ -19,7 +19,7 @@ from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_gray_u8
-from .matching import DEFAULT_EXCLUSION_RADIUS, pce
+from .matching import DEFAULT_EXCLUSION_RADIUS, cross_correlate, pce
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -81,15 +81,9 @@ def pce_map(
             win_img = img[y : y + window, x : x + window]
             win_res = res[y : y + window, x : x + window]
             template = win_img * kplane[y : y + window, x : x + window]
-            surface = _correlate(win_res, template)
+            surface = cross_correlate(win_res, template)
             grid[i, j] = pce(surface, exclusion_radius, peak=(0, 0)).pce
     return HeatMap(grid, window, stride)
-
-
-def _correlate(a, b):
-    da = a - a.mean()
-    db = b - b.mean()
-    return np.fft.irfft2(np.conj(np.fft.rfft2(da)) * np.fft.rfft2(db), s=a.shape)
 
 
 def probability_map(pmap: HeatMap) -> HeatMap:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ def test_estimate_single_image(tmp_path, flat_captures):
     rc = main(["estimate", "--images", str(paths[0]), "--out", str(out)])
     assert rc == 0
     assert load_fingerprint(out).n_sources == 1
+
+
+def test_estimate_memory_does_not_grow_with_image_count(tmp_path):
+    sensor = synth_sensor(128, 128, strength=0.02, seed=32)
+    scene = synth_scene(128, 128, "flat", level=0.5)
+    for i in range(40):
+        save_image(capture(scene, sensor, seed=700 + i), tmp_path / f"img_{i:03d}.pgm")
+
+    def peak(pattern):
+        args = ["estimate", "--images", str(tmp_path / pattern), "--out", str(tmp_path / "x.fp")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("img_000.pgm")  # warm-up: lazy imports and caches
+    ten, forty = peak("img_00?.pgm"), peak("img_0*.pgm")
+    assert forty <= 1.1 * ten, (ten, forty)
 
 
 def test_estimate_zero_matches_is_usage_error(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prnukit.denoise import DenoiserSpec
-from prnukit.errors import FormatError, ShapeError
+from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import (
     Fingerprint,
+    FingerprintAccumulator,
     clean_fingerprint,
     estimate_fingerprint,
     load_fingerprint,
@@ -58,6 +59,57 @@ def test_argument_errors():
         estimate_fingerprint([np.ones((2, 2))], [])
     with pytest.raises(ShapeError):
         estimate_fingerprint([np.ones((2, 2))], [np.ones((3, 2))])
+
+
+def test_accumulator_errors():
+    acc = FingerprintAccumulator()
+    with pytest.raises(ValueError):
+        acc.finish()
+    with pytest.raises(ShapeError):
+        acc.add(np.ones((2, 2)), np.ones((3, 2)))
+    acc.add(np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        acc.add(np.ones((2, 3)), np.ones((2, 3)))
+    assert acc.finish("c", "p").n_sources == 1
+
+
+@pytest.mark.parametrize("threshold", [None, 254 / 255])
+def test_accumulator_splits_match_estimate_fingerprint(threshold):
+    rng = np.random.default_rng(7)
+    imgs = [rng.random((12, 10)) for _ in range(7)]
+    res = [rng.standard_normal((12, 10)) for _ in range(7)]
+    full = FingerprintAccumulator(threshold)
+    halves = (FingerprintAccumulator(threshold), FingerprintAccumulator(threshold))
+    for i, (im, r) in enumerate(zip(imgs, res)):
+        full.add(im, r)
+        halves[i % 2].add(im, r)
+    splits = ((full, slice(None)), (halves[0], slice(0, None, 2)), (halves[1], slice(1, None, 2)))
+    for acc, idx in splits:
+        got = acc.finish("c", "p")
+        want = estimate_fingerprint(imgs[idx], res[idx], "c", "p", saturation_threshold=threshold)
+        assert np.array_equal(got.plane, want.plane)
+        assert got.n_sources == want.n_sources == len(imgs[idx])
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.booleans(),
+)
+def test_non_finite_input_is_rejected(h, w, data, bad, in_image):
+    rng = np.random.default_rng(h * 7 + w)
+    img = rng.random((h, w))
+    res = rng.standard_normal((h, w))
+    y = data.draw(st.integers(0, h - 1))
+    x = data.draw(st.integers(0, w - 1))
+    (img if in_image else res)[y, x] = bad
+    with pytest.raises(DegenerateInputError):
+        FingerprintAccumulator(254 / 255).add(img, res)
+    with pytest.raises(DegenerateInputError):
+        estimate_fingerprint([np.full((h, w), 0.5), img], [np.zeros((h, w)), res])
 
 
 def test_residual_identity_gaussian():

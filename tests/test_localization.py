@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +125,17 @@ def test_map_json_roundtrip(tmp_path):
     loaded = load_map_json(path)
     assert np.array_equal(loaded.grid, hm.grid)
     assert (loaded.window, loaded.stride) == (128, 64)
+
+
+def test_localization_demo_script_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_localization_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path), "--size", "256"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = ("spliced.pgm", "probability_map.json", "probability_map.pgm", "probability_map_median3.pgm")
+    for name in outputs:
+        assert (tmp_path / name).stat().st_size > 0
