@@ -38,7 +38,6 @@ from .matching import (
     PceScore,
     align,
     cross_correlate,
-    cross_correlate_direct,
     match_patch,
     ncc,
     p_value,
@@ -66,7 +65,6 @@ __all__ = [
     "clean_fingerprint",
     "crop",
     "cross_correlate",
-    "cross_correlate_direct",
     "develop",
     "estimate_fingerprint",
     "gaussian_denoise",

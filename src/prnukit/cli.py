@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
-import json
 import sys
 from pathlib import Path
 
@@ -23,8 +22,8 @@ from .fingerprint import (
     save_fingerprint,
 )
 from .imaging import load_image, tile_patches, to_luminance
-from .localization import pce_map, probability_map, render_map, save_map_json
-from .matching import align, match_patch
+from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch
 from .errors import ShapeError
 
 
@@ -65,12 +64,12 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _score_line(score, origin, size) -> str:
-    dx, dy = score.peak_location
-    x, y = origin
+def _score_line(rec: ScoreRecord) -> str:
+    dx, dy = rec.peak
+    x, y = rec.origin
     return (
-        f"patch {size} @ ({x},{y}): pce {score.pce:.4f} "
-        f"peak ({dx},{dy}) p {score.p_value:.3e}"
+        f"patch {rec.patch_size} @ ({x},{y}): pce {rec.pce:.4f} "
+        f"peak ({dx},{dy}) p {rec.p_value:.3e}"
     )
 
 
@@ -79,36 +78,30 @@ def cmd_match(args) -> int:
     fp = load_fingerprint(args.fingerprint)
     denoiser = _parse_denoiser(args.denoiser)
     res = residual(img, denoiser)
-    results = []
     if args.patch:
         grid = tile_patches(img, args.patch)
         rgrid = tile_patches(res, args.patch)
-        for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
-            score = match_patch(pimg, pres, fp, origin, args.exclusion_radius)
-            results.append((origin, args.patch, score))
+        patches = zip(grid.origins, grid.patches, rgrid.patches)
+        size = args.patch
     else:
-        score = match_patch(img, res, fp, (0, 0), args.exclusion_radius)
-        results.append(((0, 0), img.shape[1], score))
-    if args.json:
-        for origin, size, score in results:
-            record = ScoreRecord(
-                camera_fp=fp.camera_id,
-                camera_test="",
-                pipeline_est=fp.pipeline_id,
-                pipeline_test="",
-                patch_size=size,
-                origin=origin,
-                image=str(args.image),
-                pce=score.pce,
-                peak_value=score.peak_value,
-                peak=score.peak_location,
-                p_value=score.p_value,
-                label="unlabeled",
-            )
-            print(json.dumps(record.to_json(), sort_keys=True))
-    else:
-        for origin, size, score in results:
-            print(_score_line(score, origin, size))
+        patches = [((0, 0), img, res)]
+        size = img.shape[1]
+    records = [
+        ScoreRecord.from_score(
+            match_patch(pimg, pres, fp, origin, args.exclusion_radius),
+            camera_fp=fp.camera_id,
+            camera_test="",
+            pipeline_est=fp.pipeline_id,
+            pipeline_test="",
+            patch_size=size,
+            origin=origin,
+            image=str(args.image),
+            label="unlabeled",
+        )
+        for origin, pimg, pres in patches
+    ]
+    for rec in records:
+        print(rec.json_line() if args.json else _score_line(rec))
     return 0
 
 
@@ -205,20 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, default=0, help="patch size (0 = whole image)")
     p.add_argument("--json", action="store_true", help="emit JSON records")
     p.add_argument("--denoiser", default="wavelet")
-    p.add_argument("--exclusion-radius", type=int, default=5)
+    p.add_argument("--exclusion-radius", type=int, default=DEFAULT_EXCLUSION_RADIUS)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("align", help="recover the relative shift of two fingerprints")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-shift", type=int, default=16)
+    p.add_argument("--max-shift", type=int, default=DEFAULT_MAX_SHIFT)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("localize", help="sliding-window tampering probability map")
     p.add_argument("--image", required=True)
     p.add_argument("--fingerprint", required=True)
-    p.add_argument("--window", type=int, default=128)
-    p.add_argument("--stride", type=int, default=64)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.add_argument("--out-map", required=True)
     p.add_argument("--json-map", default="", help="also write the raw map as JSON")
     p.add_argument("--postprocess", choices=("none", "median3"), default="none")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .fingerprint import (
 )
 from .imaging import load_image, save_image, tile_patches, to_luminance
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, capture, develop, synth_scene, synth_sensor
-from .matching import align, match_patch, ncc
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, PceScore, align, match_patch, ncc
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -49,6 +49,34 @@ _STREAM_CAPTURE = 2
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts."""
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
+
+
+_SENSOR_KEYS = ("width", "height", "strength", "read_noise_std", "shot_noise_scale")
+
+
+def _pipelines_from_json(value) -> tuple:
+    if value == "default":
+        return DEFAULT_PIPELINES
+    return tuple(PipelineConfig.from_json(p) for p in value)
+
+
+# JSON value -> field value for the config keys that need a conversion.
+_FIELD_FROM_JSON = {
+    "seed": int,
+    "width": int,
+    "height": int,
+    "strength": float,
+    "read_noise_std": float,
+    "shot_noise_scale": float,
+    "cameras": tuple,
+    "pipelines": _pipelines_from_json,
+    "n_estimation": int,
+    "n_test": int,
+    "patch_sizes": lambda sizes: tuple(int(s) for s in sizes),
+    "denoiser": DenoiserSpec.from_json,
+    "max_shift": int,
+    "saturation_threshold": lambda thr: None if thr is None else float(thr),
+}
 
 
 @dataclass
@@ -68,7 +96,7 @@ class ExperimentConfig:
     patch_sizes: tuple = DEFAULT_PATCH_SIZES
     estimation_pipeline: str = ""
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
-    max_shift: int = 16
+    max_shift: int = DEFAULT_MAX_SHIFT
     saturation_threshold: Optional[float] = SATURATION_THRESHOLD
     output_dir: str = ""
 
@@ -90,13 +118,7 @@ class ExperimentConfig:
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
-            "sensor": {
-                "width": self.width,
-                "height": self.height,
-                "strength": self.strength,
-                "read_noise_std": self.read_noise_std,
-                "shot_noise_scale": self.shot_noise_scale,
-            },
+            "sensor": {key: getattr(self, key) for key in _SENSOR_KEYS},
             "cameras": list(self.cameras),
             "pipelines": [p.to_json() for p in self.pipelines],
             "n_estimation": self.n_estimation,
@@ -111,34 +133,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Inverse of :meth:`to_json`; absent keys keep the field defaults.
+
+        Unknown keys, top-level or under "sensor", raise ValueError.
+        """
         sensor = obj.get("sensor", {})
-        pipelines = obj.get("pipelines", "default")
-        if pipelines == "default":
-            pipelines = DEFAULT_PIPELINES
-        else:
-            pipelines = tuple(PipelineConfig.from_json(p) for p in pipelines)
-        denoiser = obj.get("denoiser")
-        kwargs = dict(
-            seed=int(obj.get("seed", 7)),
-            width=int(sensor.get("width", 256)),
-            height=int(sensor.get("height", 256)),
-            strength=float(sensor.get("strength", 0.02)),
-            read_noise_std=float(sensor.get("read_noise_std", 0.002)),
-            shot_noise_scale=float(sensor.get("shot_noise_scale", 1.0e-4)),
-            cameras=tuple(obj.get("cameras", ("cam0", "cam1"))),
-            pipelines=pipelines,
-            n_estimation=int(obj.get("n_estimation", 20)),
-            n_test=int(obj.get("n_test", 20)),
-            patch_sizes=tuple(int(s) for s in obj.get("patch_sizes", DEFAULT_PATCH_SIZES)),
-            estimation_pipeline=obj.get("estimation_pipeline", ""),
-            max_shift=int(obj.get("max_shift", 16)),
-            output_dir=obj.get("output_dir", ""),
-        )
-        if denoiser is not None:
-            kwargs["denoiser"] = DenoiserSpec.from_json(denoiser)
-        if "saturation_threshold" in obj:
-            thr = obj["saturation_threshold"]
-            kwargs["saturation_threshold"] = None if thr is None else float(thr)
+        unknown = sorted(set(obj) - set(cls().to_json()))
+        unknown += sorted(f"sensor.{key}" for key in set(sensor) - set(_SENSOR_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        kwargs = {key: value for key, value in obj.items() if key != "sensor"}
+        kwargs.update(sensor)
+        if kwargs.get("denoiser", {}) is None:  # null selects the default denoiser
+            del kwargs["denoiser"]
+        for key, convert in _FIELD_FROM_JSON.items():
+            if key in kwargs:
+                kwargs[key] = convert(kwargs[key])
         return cls(**kwargs)
 
     @classmethod
@@ -164,9 +174,6 @@ class DatasetManifest:
     @property
     def pipeline_ids(self):
         return [p["id"] for p in self.data["pipelines"]]
-
-    def pipelines(self):
-        return [PipelineConfig.from_json(p) for p in self.data["pipelines"]]
 
     def image_paths(self, camera: str, pipeline_id: str, split: str):
         rels = self.data["images"][camera][pipeline_id][split]
@@ -317,7 +324,7 @@ class CorrelationMatrix:
     shifts: np.ndarray  # (n, n, 2) as (dx, dy)
 
 
-def correlation_matrix(fingerprints, max_shift: int = 16) -> CorrelationMatrix:
+def correlation_matrix(fingerprints, max_shift: int = DEFAULT_MAX_SHIFT) -> CorrelationMatrix:
     """Post-alignment NCC between all fingerprint pairs.
 
     The matrix is symmetric by construction: entry (j, i) mirrors (i, j)
@@ -357,7 +364,7 @@ class SplitHalfReport:
 
 
 def split_half_correlations(
-    manifest: DatasetManifest, sets: dict, max_shift: int = 16
+    manifest: DatasetManifest, sets: dict, max_shift: int = DEFAULT_MAX_SHIFT
 ) -> SplitHalfReport:
     same = {}
     cross_raw = {}
@@ -381,7 +388,7 @@ def split_half_correlations(
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One PCE measurement from the sweep."""
+    """One PCE measurement of a patch, from the sweep or ``prnukit match``."""
 
     camera_fp: str
     camera_test: str
@@ -396,38 +403,25 @@ class ScoreRecord:
     p_value: float
     label: str  # "positive" (same camera) or "negative"
 
-    def to_json(self) -> dict:
-        return {
-            "camera_fp": self.camera_fp,
-            "camera_test": self.camera_test,
-            "pipeline_est": self.pipeline_est,
-            "pipeline_test": self.pipeline_test,
-            "patch_size": self.patch_size,
-            "origin": list(self.origin),
-            "image": self.image,
-            "pce": self.pce,
-            "peak_value": self.peak_value,
-            "peak": list(self.peak),
-            "p_value": self.p_value,
-            "label": self.label,
-        }
+    def __post_init__(self):
+        # JSON reads tuples back as lists.
+        object.__setattr__(self, "origin", tuple(self.origin))
+        object.__setattr__(self, "peak", tuple(self.peak))
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ScoreRecord":
+    def from_score(cls, score: PceScore, **context) -> "ScoreRecord":
+        """Record of one ``match_patch`` score; ``context`` gives the other fields."""
         return cls(
-            camera_fp=obj["camera_fp"],
-            camera_test=obj["camera_test"],
-            pipeline_est=obj["pipeline_est"],
-            pipeline_test=obj["pipeline_test"],
-            patch_size=int(obj["patch_size"]),
-            origin=tuple(obj["origin"]),
-            image=obj["image"],
-            pce=float(obj["pce"]),
-            peak_value=float(obj["peak_value"]),
-            peak=tuple(obj["peak"]),
-            p_value=float(obj["p_value"]),
-            label=obj["label"],
+            pce=score.pce,
+            peak_value=score.peak_value,
+            peak=score.peak_location,
+            p_value=score.p_value,
+            **context,
         )
+
+    def json_line(self) -> str:
+        """The record as one line of score_records.jsonl, without the newline."""
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def write_score_records(records, path) -> None:
@@ -435,12 +429,12 @@ def write_score_records(records, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            fh.write(rec.json_line() + "\n")
 
 
 def read_score_records(path):
     with open(path) as fh:
-        return [ScoreRecord.from_json(json.loads(line)) for line in fh if line.strip()]
+        return [ScoreRecord(**json.loads(line)) for line in fh if line.strip()]
 
 
 def pce_sweep(
@@ -449,7 +443,7 @@ def pce_sweep(
     estimation_pipeline: str,
     patch_sizes=DEFAULT_PATCH_SIZES,
     denoiser: Optional[DenoiserSpec] = None,
-    exclusion_radius: int = 5,
+    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ):
     """PCE of every non-overlapping patch of every test image against the
     estimation-pipeline fingerprint of every camera.
@@ -482,9 +476,9 @@ def pce_sweep(
                         grid = tile_patches(cimg, size)
                         rgrid = tile_patches(cres, size)
                         for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
-                            score = match_patch(pimg, pres, fp, origin, exclusion_radius)
                             records.append(
-                                ScoreRecord(
+                                ScoreRecord.from_score(
+                                    match_patch(pimg, pres, fp, origin, exclusion_radius),
                                     camera_fp=cam_fp,
                                     camera_test=cam_test,
                                     pipeline_est=estimation_pipeline,
@@ -492,10 +486,6 @@ def pce_sweep(
                                     patch_size=size,
                                     origin=origin,
                                     image=rel,
-                                    pce=score.pce,
-                                    peak_value=score.peak_value,
-                                    peak=score.peak_location,
-                                    p_value=score.p_value,
                                     label=label,
                                 )
                             )

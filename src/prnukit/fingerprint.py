@@ -207,4 +207,6 @@ def load_fingerprint(path) -> Fingerprint:
             f"{path}: payload is {len(payload)} bytes, header implies {w * h * 8}"
         )
     plane = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(h, w)
+    if not np.isfinite(plane).all():
+        raise FormatError(f"{path}: payload has non-finite values")
     return Fingerprint(plane, fields["camera"], fields["pipeline"], n)

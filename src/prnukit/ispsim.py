@@ -156,10 +156,6 @@ def synth_sensor(
     )
 
 
-def _smooth(plane: np.ndarray, sigma: float) -> np.ndarray:
-    return gaussian_denoise(plane, sigma)
-
-
 def synth_scene(
     width: int, height: int, kind: str = "flat", seed: int = 0, level: float = 0.5
 ) -> np.ndarray:
@@ -176,10 +172,10 @@ def synth_scene(
         return np.repeat(plane[:, :, None], 3, axis=2)
     if kind == "texture":
         rng = np.random.default_rng(seed)
-        base = _smooth(rng.standard_normal((height, width)), 4.0)
+        base = gaussian_denoise(rng.standard_normal((height, width)), 4.0)
         out = np.empty((height, width, 3))
         for c in range(3):
-            detail = _smooth(rng.standard_normal((height, width)), 4.0)
+            detail = gaussian_denoise(rng.standard_normal((height, width)), 4.0)
             ch = 0.75 * base + 0.35 * detail
             lo, hi = ch.min(), ch.max()
             out[:, :, c] = 0.1 + 0.8 * (ch - lo) / (hi - lo)

@@ -19,7 +19,7 @@ from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_gray_u8
-from .matching import DEFAULT_EXCLUSION_RADIUS, cross_correlate, pce
+from .matching import DEFAULT_EXCLUSION_RADIUS, match_patch
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -58,12 +58,11 @@ def pce_map(
     denoiser: DenoiserSpec | None = None,
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ) -> HeatMap:
-    """Zero-shift PCE of every window against the co-located fingerprint region."""
+    """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region."""
     img = as_plane(image)
-    kplane = fp.plane
-    if img.shape != kplane.shape:
+    if img.shape != fp.plane.shape:
         raise ShapeError(
-            f"image {img.shape} and fingerprint {kplane.shape} dimensions differ"
+            f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
         )
     h, w = img.shape
     if window > min(h, w):
@@ -78,11 +77,9 @@ def pce_map(
     for i in range(rows):
         for j in range(cols):
             y, x = i * stride, j * stride
-            win_img = img[y : y + window, x : x + window]
-            win_res = res[y : y + window, x : x + window]
-            template = win_img * kplane[y : y + window, x : x + window]
-            surface = cross_correlate(win_res, template)
-            grid[i, j] = pce(surface, exclusion_radius, peak=(0, 0)).pce
+            win = (slice(y, y + window), slice(x, x + window))
+            score = match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak=(0, 0))
+            grid[i, j] = score.pce
     return HeatMap(grid, window, stride)
 
 

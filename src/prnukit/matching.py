@@ -19,6 +19,7 @@ from .fingerprint import Fingerprint
 from .imaging import as_plane
 
 DEFAULT_EXCLUSION_RADIUS = 5
+DEFAULT_MAX_SHIFT = 16
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,6 @@ def cross_correlate(a, b) -> np.ndarray:
     return np.fft.irfft2(np.conj(fa) * fb, s=da.shape)
 
 
-def cross_correlate_direct(a, b) -> np.ndarray:
-    """Spatial-domain reference implementation, O(n^2) per shift.
-
-    Kept as an independent check of the frequency-domain path; only suitable
-    for small planes (<= 64 px or so).
-    """
-    pa, pb = _pair(a, b)
-    da = pa - pa.mean()
-    db = pb - pb.mean()
-    h, w = da.shape
-    out = np.empty((h, w))
-    for sy in range(h):
-        for sx in range(w):
-            out[sy, sx] = np.sum(da * np.roll(db, (-sy, -sx), axis=(0, 1)))
-    return out
-
-
 def signed_shift(index: int, dim: int) -> int:
     """Map a circular index to its signed representative in [-dim/2, dim/2)."""
     return index - dim if index >= (dim + 1) // 2 else index
@@ -114,8 +98,10 @@ def pce(
     The peak is the maximum-|value| entry (or the pinned ``peak`` shift,
     (dx, dy), for synchronized analysis). Its sign is carried into the PCE.
     The off-peak energy excludes the (2r+1)^2 circular neighborhood around
-    the peak.
+    the peak; a negative ``exclusion_radius`` raises ValueError.
     """
+    if exclusion_radius < 0:
+        raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
     s = as_plane(surface)
     h, w = s.shape
     side = 2 * exclusion_radius + 1
@@ -148,7 +134,7 @@ def _plane_of(obj) -> np.ndarray:
     return obj.plane if isinstance(obj, Fingerprint) else as_plane(obj)
 
 
-def align(fa, fb, max_shift: int = 16):
+def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     """Find the shift of ``fb``'s content relative to ``fa``.
 
     Searches the cross-correlation surface over signed shifts within

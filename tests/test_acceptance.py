@@ -11,12 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 
 import conftest
+from oracles import cross_correlate_direct
 from prnukit.denoise import DenoiserSpec
 from prnukit.fingerprint import clean_fingerprint, estimate_fingerprint, residual
 from prnukit.imaging import load_image, to_luminance
 from prnukit.ispsim import capture, synth_scene, synth_sensor
 from prnukit.localization import pce_map, probability_map
-from prnukit.matching import cross_correlate, cross_correlate_direct, ncc
+from prnukit.matching import cross_correlate, ncc
 from prnukit.evalharness import roc, tpr_at_fpr
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prnukit.cli import main
-from prnukit.evalharness import ExperimentConfig, read_score_records
+from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
 from prnukit.fingerprint import Fingerprint, load_fingerprint, save_fingerprint
 from prnukit.imaging import save_image
 from prnukit.ispsim import PipelineConfig, ToneCurve, capture, synth_scene, synth_sensor
@@ -107,6 +107,10 @@ def test_match_reports_pce(tmp_path, capsys):
     assert main(["match", "--image", str(tmp_path / "other.pgm"), "--fingerprint", str(tmp_path / "cam.fp")]) == 0
 
     assert main(["match", "--image", str(tmp_path / "missing.pgm"), "--fingerprint", str(tmp_path / "cam.fp")]) == 1
+    capsys.readouterr()
+    argv = ["match", "--image", str(tmp_path / "test.pgm"), "--fingerprint", str(tmp_path / "cam.fp")]
+    assert main([*argv, "--exclusion-radius", "-1"]) == 1
+    assert "exclusion_radius" in capsys.readouterr().err
 
 
 def test_match_json_roundtrips_through_reader(tmp_path, capsys):
@@ -135,6 +139,9 @@ def test_match_json_roundtrips_through_reader(tmp_path, capsys):
     assert len(records) == 4
     assert {r.origin for r in records} == {(0, 0), (32, 0), (0, 32), (32, 32)}
     assert all(r.camera_fp == "cam" and r.pipeline_est == "pipe" for r in records)
+    # the printed lines are the lines of a records file
+    write_score_records(records, tmp_path / "written.jsonl")
+    assert (tmp_path / "written.jsonl").read_text() == out
 
 
 def test_align_identical_files(tmp_path, capsys):

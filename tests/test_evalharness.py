@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +284,7 @@ def test_experiment_config_json_roundtrip():
     default = ExperimentConfig.from_json({"pipelines": "default", "cameras": ["c0", "c1"]})
     assert len(default.pipelines) == 6
     assert default.estimation_pipeline == default.pipelines[0].id
+    assert ExperimentConfig.from_json({}).to_json() == ExperimentConfig().to_json()
 
 
 def test_experiment_config_validation():
@@ -294,3 +296,20 @@ def test_experiment_config_validation():
         _tiny_config(estimation_pipeline="nope")
     with pytest.raises(ValueError):
         _tiny_config(n_estimation=0)
+    for obj, named in (
+        ({"n_estimaton": 60}, "n_estimaton"),
+        ({"width": 64}, "width"),
+        ({"sensor": {"widht": 64}}, "sensor.widht"),
+        ({"seed": 1, "sensor": {"width": 64, "nois": 1}, "extra": 0}, "extra, sensor.nois"),
+    ):
+        with pytest.raises(ValueError, match=f"unknown config keys: {named}$"):
+            ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("name", ["ci.json", "full.json"])
+def test_checked_in_configs_load(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    got = ExperimentConfig.from_json_file(path).to_json()
+    for key, value in json.loads(path.read_text()).items():
+        if key != "pipelines":  # "default" expands to the roster
+            assert got[key] == value, key

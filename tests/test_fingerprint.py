@@ -245,6 +245,15 @@ def test_load_rejects_corruption(tmp_path):
     with pytest.raises(FormatError):
         load_fingerprint(inconsistent)
 
+    header = raw[: -4 * 4 * 8]
+    for bad in (np.nan, np.inf, -np.inf):
+        plane = np.zeros((4, 4))
+        plane[1, 2] = bad
+        non_finite = tmp_path / "non_finite.bin"
+        non_finite.write_bytes(header + plane.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_fingerprint(non_finite)
+
 
 def test_save_validation(tmp_path):
     with pytest.raises(ValueError):

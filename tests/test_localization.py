@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, ShapeError
-from prnukit.fingerprint import Fingerprint
+from prnukit.fingerprint import Fingerprint, residual
 from prnukit.imaging import load_image
 from prnukit.localization import (
     HeatMap,
@@ -22,6 +22,7 @@ from prnukit.localization import (
     render_map,
     save_map_json,
 )
+from prnukit.matching import match_patch
 
 
 @given(st.integers(16, 300), st.integers(16, 300), st.integers(16, 64), st.integers(1, 40))
@@ -42,6 +43,13 @@ def test_pce_map_matches_formula_and_detects_pattern():
     assert hm.shape == grid_shape(image.shape, 64, 32)
     assert hm.origin(1, 2) == (64, 32)
     assert np.median(hm.grid) > 50.0
+    # each entry is match_patch's score of that window, pinned at (0, 0)
+    res = residual(image, DenoiserSpec("gaussian", sigma=1.0))
+    rows, cols = hm.shape
+    for i, j in ((0, 0), (1, 2), (rows - 1, cols - 1)):
+        x, y = hm.origin(i, j)
+        win = (slice(y, y + 64), slice(x, x + 64))
+        assert hm.grid[i, j] == match_patch(image[win], res[win], fp, (x, y), peak=(0, 0)).pce
 
 
 def test_pce_map_validation():

@@ -3,12 +3,12 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from oracles import cross_correlate_direct
 from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.fingerprint import Fingerprint
 from prnukit.matching import (
     align,
     cross_correlate,
-    cross_correlate_direct,
     match_patch,
     ncc,
     p_value,
@@ -82,6 +82,10 @@ def test_pce_closed_form():
 def test_pce_area_precondition():
     with pytest.raises(ValueError):
         pce(np.ones((8, 8)), exclusion_radius=5)
+    noise = np.random.default_rng(10).standard_normal((32, 32))
+    for peak in (None, (0, 0)):
+        with pytest.raises(ValueError, match="exclusion_radius"):
+            pce(noise, exclusion_radius=-1, peak=peak)
 
 
 @settings(max_examples=100)
