@@ -28,13 +28,13 @@ from .errors import ShapeError
 
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
-    """Parse "wavelet", "wavelet:VAR", or "gaussian:SIGMA"."""
-    kind, _, param = text.partition(":")
-    if kind == "wavelet":
-        return DenoiserSpec("wavelet", noise_variance=float(param)) if param else DenoiserSpec("wavelet")
-    if kind == "gaussian":
-        return DenoiserSpec("gaussian", sigma=float(param)) if param else DenoiserSpec("gaussian")
-    raise ValueError(f"unknown denoiser spec {text!r}")
+    """Parse KIND[:VALUE]; VALUE sets the parameter DenoiserSpec.KIND_PARAM names."""
+    kind, _, value = text.partition(":")
+    param = DenoiserSpec.KIND_PARAM.get(kind)
+    try:
+        return DenoiserSpec.from_json({"kind": kind, param: value} if param and value else {"kind": kind})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 def _parse_saturation(text: str):
@@ -48,12 +48,11 @@ def cmd_estimate(args) -> int:
     if not paths:
         print(f"error: no files match {args.images}", file=sys.stderr)
         return 2
-    denoiser = _parse_denoiser(args.denoiser)
     acc = FingerprintAccumulator(args.saturation_threshold)
     for p in paths:
         im = to_luminance(load_image(p))
         try:
-            acc.add(im, residual(im, denoiser))
+            acc.add(im, residual(im, args.denoiser))
         except ShapeError as exc:
             raise ShapeError(f"{p}: {exc}") from None
     fp = acc.finish(camera_id=args.camera, pipeline_id=args.pipeline)
@@ -76,8 +75,7 @@ def _score_line(rec: ScoreRecord) -> str:
 def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
-    denoiser = _parse_denoiser(args.denoiser)
-    res = residual(img, denoiser)
+    res = residual(img, args.denoiser)
     if args.patch:
         grid = tile_patches(img, args.patch)
         rgrid = tile_patches(res, args.patch)
@@ -116,8 +114,7 @@ def cmd_align(args) -> int:
 def cmd_localize(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
-    denoiser = _parse_denoiser(args.denoiser)
-    pmap = pce_map(img, fp, args.window, args.stride, denoiser)
+    pmap = pce_map(img, fp, args.window, args.stride, args.denoiser)
     prob = probability_map(pmap)
     render_map(prob, args.out_map, postprocess=args.postprocess)
     if args.json_map:
@@ -175,11 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Camera-fingerprint estimation, matching, localization and pipeline simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    denoiser = dict(
+        type=_parse_denoiser,
+        default=DenoiserSpec(),
+        help=" or ".join(f"{kind}[:{param.upper()}]" for kind, param in DenoiserSpec.KIND_PARAM.items()),
+    )
 
     p = sub.add_parser("estimate", help="estimate a fingerprint from images")
     p.add_argument("--images", nargs="+", required=True, help="glob pattern(s)")
     p.add_argument("--out", required=True, help="output fingerprint file")
-    p.add_argument("--denoiser", default="wavelet", help="wavelet[:VAR] or gaussian[:SIGMA]")
+    p.add_argument("--denoiser", **denoiser)
     p.add_argument("--camera", default="", help="camera id stored in the header")
     p.add_argument("--pipeline", default="", help="pipeline id stored in the header")
     p.add_argument("--whiten", action="store_true", help="spectrum-whiten after cleanup")
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fingerprint", required=True)
     p.add_argument("--patch", type=int, default=0, help="patch size (0 = whole image)")
     p.add_argument("--json", action="store_true", help="emit JSON records")
-    p.add_argument("--denoiser", default="wavelet")
+    p.add_argument("--denoiser", **denoiser)
     p.add_argument("--exclusion-radius", type=int, default=DEFAULT_EXCLUSION_RADIUS)
     p.set_defaults(func=cmd_match)
 
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-map", required=True)
     p.add_argument("--json-map", default="", help="also write the raw map as JSON")
     p.add_argument("--postprocess", choices=("none", "median3"), default="none")
-    p.add_argument("--denoiser", default="wavelet")
+    p.add_argument("--denoiser", **denoiser)
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("simulate", help="generate a dataset from an experiment config")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve1d, uniform_filter
 
-from . import wavelets
+from . import _config, wavelets
 from .errors import ShapeError
 from .imaging import as_plane
 
@@ -34,32 +34,22 @@ class DenoiserSpec:
     "gaussian" (uses sigma, pixels).
     """
 
+    KIND_PARAM = {"wavelet": "noise_variance", "gaussian": "sigma"}
+
     kind: str = "wavelet"
     noise_variance: float = DEFAULT_NOISE_VARIANCE
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("wavelet", "gaussian"):
+        if self.kind not in self.KIND_PARAM:
             raise ValueError(f"unknown denoiser kind {self.kind!r}")
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be > 0")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
 
-    def to_json(self) -> dict:
-        if self.kind == "wavelet":
-            return {"kind": "wavelet", "noise_variance": self.noise_variance}
-        return {"kind": "gaussian", "sigma": self.sigma}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DenoiserSpec":
-        kind = obj.get("kind", "wavelet")
-        kwargs = {}
-        if "noise_variance" in obj:
-            kwargs["noise_variance"] = float(obj["noise_variance"])
-        if "sigma" in obj:
-            kwargs["sigma"] = float(obj["sigma"])
-        return cls(kind=kind, **kwargs)
+    to_json = _config.to_json
+    from_json = classmethod(_config.from_json)
 
 
 def local_signal_variance(coeff: np.ndarray, noise_variance: float) -> np.ndarray:

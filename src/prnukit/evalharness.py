@@ -13,15 +13,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__ as _package_version
+from . import _config
 from .denoise import DenoiserSpec
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .fingerprint import (
     SATURATION_THRESHOLD,
     Fingerprint,
@@ -54,31 +55,6 @@ def derive_seed(*parts) -> int:
 _SENSOR_KEYS = ("width", "height", "strength", "read_noise_std", "shot_noise_scale")
 
 
-def _pipelines_from_json(value) -> tuple:
-    if value == "default":
-        return DEFAULT_PIPELINES
-    return tuple(PipelineConfig.from_json(p) for p in value)
-
-
-# JSON value -> field value for the config keys that need a conversion.
-_FIELD_FROM_JSON = {
-    "seed": int,
-    "width": int,
-    "height": int,
-    "strength": float,
-    "read_noise_std": float,
-    "shot_noise_scale": float,
-    "cameras": tuple,
-    "pipelines": _pipelines_from_json,
-    "n_estimation": int,
-    "n_test": int,
-    "patch_sizes": lambda sizes: tuple(int(s) for s in sizes),
-    "denoiser": DenoiserSpec.from_json,
-    "max_shift": int,
-    "saturation_threshold": lambda thr: None if thr is None else float(thr),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: sensors, pipeline roster, dataset sizes, sweep knobs."""
@@ -89,11 +65,11 @@ class ExperimentConfig:
     strength: float = 0.02
     read_noise_std: float = 0.002
     shot_noise_scale: float = 1.0e-4
-    cameras: tuple = ("cam0", "cam1")
-    pipelines: tuple = DEFAULT_PIPELINES
+    cameras: tuple[str, ...] = ("cam0", "cam1")
+    pipelines: tuple[PipelineConfig, ...] = DEFAULT_PIPELINES
     n_estimation: int = 20
     n_test: int = 20
-    patch_sizes: tuple = DEFAULT_PATCH_SIZES
+    patch_sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES
     estimation_pipeline: str = ""
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
     max_shift: int = DEFAULT_MAX_SHIFT
@@ -103,6 +79,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.cameras) < 1:
             raise ValueError("need at least one camera")
+        for cam in self.cameras:
+            _config.check_id("camera", cam)
+        if len(set(self.cameras)) != len(self.cameras):
+            raise ValueError(f"duplicate camera ids in {list(self.cameras)}")
         if len(self.pipelines) < 2:
             raise ValueError("need at least two pipelines")
         if self.n_estimation < 1 or self.n_test < 1:
@@ -116,40 +96,24 @@ class ExperimentConfig:
             raise ValueError(f"estimation pipeline {self.estimation_pipeline!r} not in roster")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sensor": {key: getattr(self, key) for key in _SENSOR_KEYS},
-            "cameras": list(self.cameras),
-            "pipelines": [p.to_json() for p in self.pipelines],
-            "n_estimation": self.n_estimation,
-            "n_test": self.n_test,
-            "patch_sizes": list(self.patch_sizes),
-            "estimation_pipeline": self.estimation_pipeline,
-            "denoiser": self.denoiser.to_json(),
-            "max_shift": self.max_shift,
-            "saturation_threshold": self.saturation_threshold,
-            "output_dir": self.output_dir,
-        }
+        obj = _config.to_json(self)
+        obj["sensor"] = {key: obj.pop(key) for key in _SENSOR_KEYS}
+        return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_json`; absent keys keep the field defaults.
-
-        Unknown keys, top-level or under "sensor", raise ValueError.
-        """
-        sensor = obj.get("sensor", {})
-        unknown = sorted(set(obj) - set(cls().to_json()))
-        unknown += sorted(f"sensor.{key}" for key in set(sensor) - set(_SENSOR_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {key: value for key, value in obj.items() if key != "sensor"}
-        kwargs.update(sensor)
-        if kwargs.get("denoiser", {}) is None:  # null selects the default denoiser
-            del kwargs["denoiser"]
-        for key, convert in _FIELD_FROM_JSON.items():
-            if key in kwargs:
-                kwargs[key] = convert(kwargs[key])
-        return cls(**kwargs)
+    def from_json(cls, obj) -> "ExperimentConfig":
+        """Inverse of :meth:`to_json`; "pipelines": "default" reads as an absent key."""
+        flat = dict(_config.json_object(obj, "config"))
+        sensor = _config.json_object(flat.pop("sensor", {}), "sensor")
+        # Sensor keys are known inside "sensor" only; the codec names the rest.
+        misplaced = sorted(set(flat) & set(_SENSOR_KEYS))
+        if misplaced:
+            raise ValueError(f"unknown config keys: {', '.join(misplaced)}")
+        for key, value in sensor.items():
+            flat[key if key in _SENSOR_KEYS else f"sensor.{key}"] = value
+        if flat.get("pipelines") == "default":
+            del flat["pipelines"]
+        return _config.from_json(cls, flat)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -253,17 +217,9 @@ def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
                     rel = f"images/{cam}/{pipe.id}/{split}_{i:03d}.ppm"
                     save_image(developed, root / rel, bit_depth=16)
                     images[cam][pipe.id][split].append(rel)
-    data = {
-        "seed": config.seed,
-        "sensor": config.to_json()["sensor"],
-        "cameras": list(config.cameras),
-        "pipelines": [p.to_json() for p in config.pipelines],
-        "n_estimation": config.n_estimation,
-        "n_test": config.n_test,
-        "images": images,
-        "capture_ids": capture_ids,
-        "groundtruth": groundtruth,
-    }
+    config_json = config.to_json()
+    data = {key: config_json[key] for key in ("seed", "sensor", "cameras", "pipelines", "n_estimation", "n_test")}
+    data.update(images=images, capture_ids=capture_ids, groundtruth=groundtruth)
     manifest = DatasetManifest(root, data)
     manifest.save()
     return manifest
@@ -395,18 +351,13 @@ class ScoreRecord:
     pipeline_est: str
     pipeline_test: str
     patch_size: int
-    origin: tuple
+    origin: tuple[int, int]
     image: str
     pce: float
     peak_value: float
-    peak: tuple
+    peak: tuple[int, int]
     p_value: float
     label: str  # "positive" (same camera) or "negative"
-
-    def __post_init__(self):
-        # JSON reads tuples back as lists.
-        object.__setattr__(self, "origin", tuple(self.origin))
-        object.__setattr__(self, "peak", tuple(self.peak))
 
     @classmethod
     def from_score(cls, score: PceScore, **context) -> "ScoreRecord":
@@ -421,7 +372,7 @@ class ScoreRecord:
 
     def json_line(self) -> str:
         """The record as one line of score_records.jsonl, without the newline."""
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(_config.to_json(self), sort_keys=True)
 
 
 def write_score_records(records, path) -> None:
@@ -433,8 +384,17 @@ def write_score_records(records, path) -> None:
 
 
 def read_score_records(path):
+    """Records of a score_records.jsonl file; a bad line raises FormatError
+    naming ``path:lineno``."""
+    records = []
     with open(path) as fh:
-        return [ScoreRecord(**json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(_config.from_json(ScoreRecord, json.loads(line)))
+                except ValueError as exc:  # json.JSONDecodeError is a ValueError
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def pce_sweep(

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import convolve
 
+from . import _config
 from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
 from .errors import ShapeError
 from .imaging import as_plane
@@ -34,12 +35,14 @@ class ToneCurve:
     """Pointwise tone mapping: gamma(g) is v ** (1/g); scurve(s) blends v
     toward the smoothstep 3v^2 - 2v^3 with weight s."""
 
+    KIND_PARAM = {"gamma": "gamma", "scurve": "strength"}
+
     kind: str = "gamma"
     gamma: float = 2.2
     strength: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "scurve"):
+        if self.kind not in self.KIND_PARAM:
             raise ValueError(f"unknown tone curve {self.kind!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
@@ -51,16 +54,8 @@ class ToneCurve:
             return np.power(x, 1.0 / self.gamma)
         return x + self.strength * (x * x * (3.0 - 2.0 * x) - x)
 
-    def to_json(self) -> dict:
-        if self.kind == "gamma":
-            return {"kind": "gamma", "gamma": self.gamma}
-        return {"kind": "scurve", "strength": self.strength}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ToneCurve":
-        if obj.get("kind") == "scurve":
-            return cls("scurve", strength=float(obj.get("strength", 1.0)))
-        return cls("gamma", gamma=float(obj.get("gamma", 2.2)))
+    to_json = _config.to_json
+    from_json = classmethod(_config.from_json)
 
 
 @dataclass(frozen=True)
@@ -69,13 +64,14 @@ class PipelineConfig:
 
     id: str
     demosaic: str = "bilinear"
-    white_balance: tuple = (1.0, 1.0)  # (r_gain, b_gain); green is unity
+    white_balance: tuple[float, float] = (1.0, 1.0)  # (r_gain, b_gain); green is unity
     tone: ToneCurve = field(default_factory=ToneCurve)
     denoise: Optional[DenoiserSpec] = None
     sharpen: Optional[float] = None  # unsharp amount, sigma fixed at 1.0
-    crop_offset: tuple = (0, 0)
+    crop_offset: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
+        _config.check_id("pipeline", self.id)
         if self.demosaic not in DEMOSAIC_KINDS:
             raise ValueError(f"unknown demosaic {self.demosaic!r}")
         if min(self.white_balance) <= 0:
@@ -83,29 +79,8 @@ class PipelineConfig:
         if min(self.crop_offset) < 0:
             raise ValueError("crop_offset must be >= (0, 0)")
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "demosaic": self.demosaic,
-            "white_balance": list(self.white_balance),
-            "tone": self.tone.to_json(),
-            "denoise": self.denoise.to_json() if self.denoise else None,
-            "sharpen": self.sharpen,
-            "crop_offset": list(self.crop_offset),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        denoise = obj.get("denoise")
-        return cls(
-            id=obj["id"],
-            demosaic=obj.get("demosaic", "bilinear"),
-            white_balance=tuple(obj.get("white_balance", (1.0, 1.0))),
-            tone=ToneCurve.from_json(obj.get("tone", {"kind": "gamma"})),
-            denoise=DenoiserSpec.from_json(denoise) if denoise else None,
-            sharpen=obj.get("sharpen"),
-            crop_offset=tuple(obj.get("crop_offset", (0, 0))),
-        )
+    to_json = _config.to_json
+    from_json = classmethod(_config.from_json)
 
 
 @dataclass(eq=False)

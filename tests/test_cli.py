@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prnukit.cli import main
+from prnukit.cli import build_parser, main
+from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
 from prnukit.fingerprint import Fingerprint, load_fingerprint, save_fingerprint
 from prnukit.imaging import save_image
@@ -247,6 +248,42 @@ def test_evaluate_emits_reports(tmp_path, capsys):
         "alignment_shifts.csv",
     ):
         assert (report_dir / name).exists(), name
+
+
+# Malformed configs by the key their error must name.
+_MALFORMED = {
+    "pipelines[1].demosiac": lambda c: c["pipelines"][1].update(demosiac="nearest"),
+    "pipelines[0].tone.gama": lambda c: c["pipelines"][0]["tone"].update(gama=2.0),
+    "denoiser.noise_varaince": lambda c: c["denoiser"].update(noise_varaince=1e-4),
+    "sensor": lambda c: c.update(sensor=None),
+    "cameras": lambda c: c.update(cameras="cam0"),
+    "pipelines": lambda c: c.update(pipelines="defualt"),
+    "pipelines[0].id": lambda c: c["pipelines"][0].pop("id"),
+}
+
+
+@pytest.mark.parametrize("named", list(_MALFORMED))
+def test_evaluate_rejects_malformed_config(tmp_path, capsys, named):
+    cfg = json.loads(_tiny_experiment(tmp_path).read_text())
+    _MALFORMED[named](cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("spec", ["median", "median:3", "wavelet:abc", "gaussian:-1"])
+def test_bad_denoiser_is_usage_error(tmp_path, capsys, spec):
+    argv = ["match", "--image", str(tmp_path / "missing.pgm"), "--fingerprint", str(tmp_path / "missing.fp")]
+    assert build_parser().parse_args(argv).denoiser == DenoiserSpec()
+    parsed = build_parser().parse_args([*argv, "--denoiser", "gaussian:1.5"])
+    assert parsed.denoiser == DenoiserSpec("gaussian", sigma=1.5)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--denoiser", spec])  # exits before the missing image is opened
+    assert exc.value.code == 2
+    assert "--denoiser" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -1,12 +1,13 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prnukit.errors import ShapeError
+from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
 from prnukit.evalharness import (
     DatasetManifest,
@@ -167,6 +168,12 @@ def test_score_records_roundtrip(tmp_path, patch_records):
     write_score_records(subset, path)
     back = read_score_records(path)
     assert back == list(subset)
+    good = json.loads(path.read_text().splitlines()[0])
+    missing = {key: value for key, value in good.items() if key != "pce"}
+    for bad in ("{not json", json.dumps({**good, "extra": 1}), json.dumps(missing), "[]"):
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: "):
+            read_score_records(path)
 
 
 def test_roc_separable():
@@ -304,11 +311,30 @@ def test_experiment_config_validation():
     ):
         with pytest.raises(ValueError, match=f"unknown config keys: {named}$"):
             ExperimentConfig.from_json(obj)
+    for obj in ({"n_test": 2.5}, {"sensor": {"width": "wide"}}, {"cameras": [1]}, {"patch_sizes": [True]}):
+        with pytest.raises(ValueError, match="expected"):
+            ExperimentConfig.from_json(obj)
+    # ids name directories of the dataset tree
+    for kw in (
+        {"cameras": ("cam0", "cam0")},
+        {"cameras": ("",)},
+        {"cameras": ("a/b",)},
+        {"cameras": ("a\\b",)},
+        {"cameras": ("..",)},
+    ):
+        with pytest.raises(ValueError, match="camera"):
+            _tiny_config(**kw)
+    for bad_id in ("", "p/a", "p\\a", "."):
+        with pytest.raises(ValueError, match="pipeline id"):
+            PipelineConfig(bad_id)
 
 
-@pytest.mark.parametrize("name", ["ci.json", "full.json"])
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in _CONFIGS.glob("*.json")))
 def test_checked_in_configs_load(name):
-    path = Path(__file__).resolve().parent.parent / "configs" / name
+    path = _CONFIGS / name
     got = ExperimentConfig.from_json_file(path).to_json()
     for key, value in json.loads(path.read_text()).items():
         if key != "pipelines":  # "default" expands to the roster

@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import ShapeError
 from prnukit.fingerprint import clean_fingerprint, estimate_fingerprint, residual
 from prnukit.ispsim import (
     DEFAULT_PIPELINES,
+    DEMOSAIC_KINDS,
     PipelineConfig,
     SensorProfile,
     ToneCurve,
@@ -146,6 +150,31 @@ def test_develop_validation():
 def test_pipeline_config_json_roundtrip():
     for cfg in DEFAULT_PIPELINES:
         assert PipelineConfig.from_json(cfg.to_json()) == cfg
+
+
+_denoisers = st.one_of(
+    st.builds(DenoiserSpec, st.just("wavelet"), noise_variance=st.floats(1e-9, 1.0)),
+    st.builds(DenoiserSpec, st.just("gaussian"), sigma=st.floats(1e-3, 10.0)),
+)
+_tones = st.one_of(
+    st.builds(ToneCurve, st.just("gamma"), gamma=st.floats(0.1, 5.0)),
+    st.builds(ToneCurve, st.just("scurve"), strength=st.floats(0.0, 1.0)),
+)
+_pipelines = st.builds(
+    PipelineConfig,
+    st.text("abcxyz_-.0123456789", min_size=3, max_size=8),
+    demosaic=st.sampled_from(DEMOSAIC_KINDS),
+    white_balance=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+    tone=_tones,
+    denoise=st.none() | _denoisers,
+    sharpen=st.none() | st.floats(-2.0, 2.0),
+    crop_offset=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+)
+
+
+@given(st.one_of(_denoisers, _tones, _pipelines))
+def test_config_json_roundtrip_property(cfg):
+    assert type(cfg).from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
 def test_sensor_json_omits_pattern():
