@@ -52,12 +52,11 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
 
 
-_SENSOR_KEYS = ("width", "height", "strength", "read_noise_std", "shot_noise_scale")
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: sensors, pipeline roster, dataset sizes, sweep knobs."""
+
+    JSON_GROUPS = {"sensor": ("width", "height", "strength", "read_noise_std", "shot_noise_scale")}
 
     seed: int = 7
     width: int = 256
@@ -95,25 +94,15 @@ class ExperimentConfig:
         elif self.estimation_pipeline not in ids:
             raise ValueError(f"estimation pipeline {self.estimation_pipeline!r} not in roster")
 
-    def to_json(self) -> dict:
-        obj = _config.to_json(self)
-        obj["sensor"] = {key: obj.pop(key) for key in _SENSOR_KEYS}
-        return obj
+    to_json = _config.to_json
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
         """Inverse of :meth:`to_json`; "pipelines": "default" reads as an absent key."""
-        flat = dict(_config.json_object(obj, "config"))
-        sensor = _config.json_object(flat.pop("sensor", {}), "sensor")
-        # Sensor keys are known inside "sensor" only; the codec names the rest.
-        misplaced = sorted(set(flat) & set(_SENSOR_KEYS))
-        if misplaced:
-            raise ValueError(f"unknown config keys: {', '.join(misplaced)}")
-        for key, value in sensor.items():
-            flat[key if key in _SENSOR_KEYS else f"sensor.{key}"] = value
-        if flat.get("pipelines") == "default":
-            del flat["pipelines"]
-        return _config.from_json(cls, flat)
+        obj = _config.json_object(obj, "config")
+        if obj.get("pipelines") == "default":
+            obj = {key: value for key, value in obj.items() if key != "pipelines"}
+        return _config.from_json(cls, obj)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

@@ -41,8 +41,14 @@ class Fingerprint:
 
 
 def residual(image, denoiser: DenoiserSpec) -> np.ndarray:
-    """Noise residual R = I - D(I). Pure; parallelizes across images."""
+    """Noise residual R = I - D(I). Pure; parallelizes across images.
+
+    Non-finite samples raise :class:`DegenerateInputError`, since one would
+    spread through the denoiser into every score the residual takes part in.
+    """
     p = as_plane(image)
+    if not np.isfinite(p).all():
+        raise DegenerateInputError("image has non-finite samples")
     return p - apply_denoiser(p, denoiser)
 
 

@@ -17,15 +17,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import convolve
+from scipy.ndimage import correlate
 
 from . import _config
 from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
-from .errors import ShapeError
+from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane
 
 DEMOSAIC_KINDS = ("bilinear", "edge_directed", "nearest")
 
+# Symmetric, so correlating with them is convolving.
 _K_RB = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]])
 _K_G = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -195,15 +196,13 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
 
 
 def _demosaic_bilinear(raw: np.ndarray) -> np.ndarray:
-    # Reflect padding mirrors about the edge sample, preserving CFA parity.
-    pad = np.pad(raw, 2, mode="reflect")
-    rmask, gmask, bmask = _bayer_masks(pad.shape)
+    rmask, gmask, bmask = _bayer_masks(raw.shape)
+    # "mirror" reflects about the edge sample, preserving CFA parity.
     # With these kernels the mask-weighted normalizer is 4 at every site.
-    r = convolve(pad * rmask, _K_RB, mode="same", method="direct") / 4.0
-    g = convolve(pad * gmask, _K_G, mode="same", method="direct") / 4.0
-    b = convolve(pad * bmask, _K_RB, mode="same", method="direct") / 4.0
-    out = np.stack([r, g, b], axis=2)
-    return out[2:-2, 2:-2]
+    r = correlate(raw * rmask, _K_RB, mode="mirror") / 4.0
+    g = correlate(raw * gmask, _K_G, mode="mirror") / 4.0
+    b = correlate(raw * bmask, _K_RB, mode="mirror") / 4.0
+    return np.stack([r, g, b], axis=2)
 
 
 def _demosaic_nearest(raw: np.ndarray) -> np.ndarray:
@@ -240,8 +239,8 @@ def _demosaic_edge(raw: np.ndarray) -> np.ndarray:
     est = np.where(dh < dv, est_h, np.where(dv < dh, est_v, 0.5 * (est_h + est_v)))
     green = np.where(gmask, pad, est)
     # Chroma by difference interpolation: own-color sites pass through.
-    r = green + convolve((pad - green) * rmask, _K_RB, "same", "direct") / 4.0
-    b = green + convolve((pad - green) * bmask, _K_RB, "same", "direct") / 4.0
+    r = green + correlate((pad - green) * rmask, _K_RB, mode="constant") / 4.0
+    b = green + correlate((pad - green) * bmask, _K_RB, mode="constant") / 4.0
     out = np.stack([r, green, b], axis=2)
     return out[2:-2, 2:-2]
 
@@ -257,11 +256,14 @@ def develop(raw, config: PipelineConfig) -> np.ndarray:
     """Run one pipeline over a mosaiced plane; returns an (H', W', 3) image.
 
     A nonzero crop offset shrinks the output (even dimensions maintained).
+    Non-finite samples raise :class:`DegenerateInputError`.
     """
     p = as_plane(raw)
     h, w = p.shape
     if h % 2 or w % 2:
         raise ShapeError("mosaiced plane must have even dimensions")
+    if not np.isfinite(p).all():
+        raise DegenerateInputError("mosaiced plane has non-finite samples")
     try:
         demosaic = _DEMOSAICERS[config.demosaic]
     except KeyError:

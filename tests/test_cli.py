@@ -259,6 +259,7 @@ _MALFORMED = {
     "cameras": lambda c: c.update(cameras="cam0"),
     "pipelines": lambda c: c.update(pipelines="defualt"),
     "pipelines[0].id": lambda c: c["pipelines"][0].pop("id"),
+    "sensor.width": lambda c: c["sensor"].update(width="abc"),
 }
 
 

@@ -308,6 +308,10 @@ def test_experiment_config_validation():
         ({"width": 64}, "width"),
         ({"sensor": {"widht": 64}}, "sensor.widht"),
         ({"seed": 1, "sensor": {"width": 64, "nois": 1}, "extra": 0}, "extra, sensor.nois"),
+        # a kind knows its own parameter only
+        ({"denoiser": {"kind": "gaussian", "noise_variance": 1e-4}}, "denoiser.noise_variance"),
+        ({"denoiser": {"noise_variance": 1e-4, "sigma": 2.0}}, "denoiser.sigma"),
+        ({"pipelines": [{"id": "a", "tone": {"kind": "gamma", "strength": 0.5}}, {"id": "b"}]}, "pipelines\\[0\\].tone.strength"),
     ):
         with pytest.raises(ValueError, match=f"unknown config keys: {named}$"):
             ExperimentConfig.from_json(obj)

@@ -110,6 +110,8 @@ def test_non_finite_input_is_rejected(h, w, data, bad, in_image):
         FingerprintAccumulator(254 / 255).add(img, res)
     with pytest.raises(DegenerateInputError):
         estimate_fingerprint([np.full((h, w), 0.5), img], [np.zeros((h, w)), res])
+    with pytest.raises(DegenerateInputError):
+        residual(img if in_image else res, DenoiserSpec("gaussian"))
 
 
 def test_residual_identity_gaussian():

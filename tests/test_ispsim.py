@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import demosaic_bilinear_direct, demosaic_edge_direct
+from prnukit import ispsim
 from prnukit.denoise import DenoiserSpec
-from prnukit.errors import ShapeError
+from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.fingerprint import clean_fingerprint, estimate_fingerprint, residual
 from prnukit.ispsim import (
     DEFAULT_PIPELINES,
@@ -117,6 +119,22 @@ def test_demosaicers_differ_on_texture():
             assert np.abs(outs[i] - outs[j]).max() > 0
 
 
+@pytest.mark.parametrize("h, w", [(64, 64), (66, 130), (256, 256)])
+def test_demosaic_matches_direct_convolution(monkeypatch, h, w):
+    direct = {"bilinear": demosaic_bilinear_direct, "edge_directed": demosaic_edge_direct}
+    for seed in range(3):
+        sensor = synth_sensor(w, h, seed=seed)
+        for scene in (synth_scene(w, h, "texture", seed=seed), synth_scene(w, h, "flat", level=0.98)):
+            raw = capture(scene, sensor, seed=seed)
+            with monkeypatch.context() as m:
+                for kind, demosaic in direct.items():
+                    assert np.array_equal(ispsim._DEMOSAICERS[kind](raw), demosaic(raw)), (kind, seed)
+                    m.setitem(ispsim._DEMOSAICERS, kind, demosaic)
+                want = [develop(raw, cfg) for cfg in DEFAULT_PIPELINES]
+            for cfg, out in zip(DEFAULT_PIPELINES, want):
+                assert np.array_equal(develop(raw, cfg), out), (cfg.id, seed)
+
+
 def test_develop_deterministic():
     sensor = synth_sensor(64, 64, seed=10)
     raw = capture(synth_scene(64, 64, "texture", seed=11), sensor, seed=12)
@@ -145,6 +163,20 @@ def test_develop_validation():
         ToneCurve("gamma", gamma=0.0)
     with pytest.raises(ValueError):
         ToneCurve("log")
+
+
+@given(
+    st.integers(8, 16),
+    st.integers(8, 16),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.sampled_from(DEFAULT_PIPELINES),
+)
+def test_develop_rejects_non_finite_plane(h, w, data, bad, cfg):
+    raw = np.full((2 * h, 2 * w), 0.5)
+    raw[data.draw(st.integers(0, 2 * h - 1)), data.draw(st.integers(0, 2 * w - 1))] = bad
+    with pytest.raises(DegenerateInputError):
+        develop(raw, cfg)
 
 
 def test_pipeline_config_json_roundtrip():
