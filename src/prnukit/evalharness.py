@@ -6,6 +6,11 @@ All randomness flows from one master seed; per-image RNG streams are derived
 from (seed, camera index, image index) so generation order or parallelism
 cannot change outputs. Estimation captures are shared across pipelines: each
 raw is exposed once and developed through every pipeline.
+
+Dataset generation, estimation and the PCE sweep split into independent
+units (per camera, per (camera, pipeline), per (test camera, pipeline)) that
+run one process per usable core and are merged in submission order, so the
+report and dataset bytes are the same for any core count.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +57,38 @@ _STREAM_CAPTURE = 2
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts."""
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows): run serially
+        return 1
+
+
+def _ordered_map(fn, units) -> list:
+    """``list(map(fn, units))`` over one forked process per usable core.
+
+    Results come back in submission order, so callers merge them exactly as
+    the serial loop would; with one core (or one unit) nothing is forked.
+    The first unit to raise, in submission order, cancels the pending units
+    and its exception propagates as the serial loop would raise it.
+    """
+    workers = min(_usable_cores(), len(units))
+    if workers <= 1:
+        return list(map(fn, units))
+    # Imported here so that commands which never fork do not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: workers share the imported numpy/scipy instead of
+    # re-importing them per pool, and callers need no __main__ guard. The
+    # executor forks every worker before it starts its own manager thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(fn, units))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -158,60 +197,68 @@ class DatasetManifest:
 def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
     """Capture every raw once per camera and develop it through every pipeline.
 
-    Re-running with the same config and seed produces a byte-identical tree.
+    Cameras are built in parallel. Re-running with the same config and seed
+    produces a byte-identical tree.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    images = {}
-    capture_ids = {}
-    groundtruth = {}
-    splits = (("estimation", config.n_estimation, _EST_MIX, 0),
-              ("test", config.n_test, _TEST_MIX, config.n_estimation))
-    for cam_idx, cam in enumerate(config.cameras):
-        sensor = synth_sensor(
-            config.width,
-            config.height,
-            strength=config.strength,
-            read_noise_std=config.read_noise_std,
-            shot_noise_scale=config.shot_noise_scale,
-            seed=derive_seed(config.seed, _STREAM_SENSOR, cam_idx),
-        )
-        gt_rel = f"groundtruth/{cam}.fp"
-        save_fingerprint(
-            Fingerprint(sensor.prnu, camera_id=cam, pipeline_id="groundtruth", n_sources=1),
-            root / gt_rel,
-        )
-        groundtruth[cam] = gt_rel
-        images[cam] = {p.id: {"estimation": [], "test": []} for p in config.pipelines}
-        capture_ids[cam] = {"estimation": [], "test": []}
-        for split, count, mix, base in splits:
-            for i in range(count):
-                img_idx = base + i
-                kind, level = mix[i % len(mix)]
-                scene = synth_scene(
-                    config.width,
-                    config.height,
-                    kind=kind,
-                    seed=derive_seed(config.seed, _STREAM_SCENE, cam_idx, img_idx),
-                    level=level,
-                )
-                raw = capture(
-                    scene,
-                    sensor,
-                    seed=derive_seed(config.seed, _STREAM_CAPTURE, cam_idx, img_idx),
-                )
-                capture_ids[cam][split].append(f"{cam}/{img_idx:03d}")
-                for pipe in config.pipelines:
-                    developed = develop(raw, pipe)
-                    rel = f"images/{cam}/{pipe.id}/{split}_{i:03d}.ppm"
-                    save_image(developed, root / rel, bit_depth=16)
-                    images[cam][pipe.id][split].append(rel)
+    built = _ordered_map(partial(_build_camera, config, root), range(len(config.cameras)))
     config_json = config.to_json()
     data = {key: config_json[key] for key in ("seed", "sensor", "cameras", "pipelines", "n_estimation", "n_test")}
+    images, capture_ids, groundtruth = (dict(zip(config.cameras, column)) for column in zip(*built))
     data.update(images=images, capture_ids=capture_ids, groundtruth=groundtruth)
     manifest = DatasetManifest(root, data)
     manifest.save()
     return manifest
+
+
+def _build_camera(config: ExperimentConfig, root: Path, cam_idx: int):
+    """Write one camera's groundtruth and developed images under ``root``.
+
+    Returns the camera's manifest entries: (images, capture ids, groundtruth
+    path).
+    """
+    cam = config.cameras[cam_idx]
+    sensor = synth_sensor(
+        config.width,
+        config.height,
+        strength=config.strength,
+        read_noise_std=config.read_noise_std,
+        shot_noise_scale=config.shot_noise_scale,
+        seed=derive_seed(config.seed, _STREAM_SENSOR, cam_idx),
+    )
+    gt_rel = f"groundtruth/{cam}.fp"
+    save_fingerprint(
+        Fingerprint(sensor.prnu, camera_id=cam, pipeline_id="groundtruth", n_sources=1),
+        root / gt_rel,
+    )
+    images = {p.id: {"estimation": [], "test": []} for p in config.pipelines}
+    capture_ids = {"estimation": [], "test": []}
+    splits = (("estimation", config.n_estimation, _EST_MIX, 0),
+              ("test", config.n_test, _TEST_MIX, config.n_estimation))
+    for split, count, mix, base in splits:
+        for i in range(count):
+            img_idx = base + i
+            kind, level = mix[i % len(mix)]
+            scene = synth_scene(
+                config.width,
+                config.height,
+                kind=kind,
+                seed=derive_seed(config.seed, _STREAM_SCENE, cam_idx, img_idx),
+                level=level,
+            )
+            raw = capture(
+                scene,
+                sensor,
+                seed=derive_seed(config.seed, _STREAM_CAPTURE, cam_idx, img_idx),
+            )
+            capture_ids[split].append(f"{cam}/{img_idx:03d}")
+            for pipe in config.pipelines:
+                developed = develop(raw, pipe)
+                rel = f"images/{cam}/{pipe.id}/{split}_{i:03d}.ppm"
+                save_image(developed, root / rel, bit_depth=16)
+                images[pipe.id][split].append(rel)
+    return images, capture_ids, gt_rel
 
 
 @dataclass
@@ -236,23 +283,25 @@ def estimate_fingerprint_sets(
     """
     if denoiser is None:
         denoiser = DenoiserSpec()
-    sets = {}
-    for cam in manifest.cameras:
-        for pid in manifest.pipeline_ids:
-            full = FingerprintAccumulator(saturation_threshold)
-            halves = (
-                FingerprintAccumulator(saturation_threshold),
-                FingerprintAccumulator(saturation_threshold),
-            )
-            for i, path in enumerate(manifest.image_paths(cam, pid, "estimation")):
-                img = to_luminance(load_image(path))
-                res = residual(img, denoiser)
-                full.add(img, res)
-                halves[i % 2].add(img, res)
-            sets[(cam, pid)] = FingerprintSet(
-                *(clean_fingerprint(acc.finish(cam, pid)) for acc in (full, *halves))
-            )
-    return sets
+    keys = [(cam, pid) for cam in manifest.cameras for pid in manifest.pipeline_ids]
+    units = [(cam, pid, manifest.image_paths(cam, pid, "estimation")) for cam, pid in keys]
+    return dict(zip(keys, _ordered_map(partial(_estimate_set, denoiser, saturation_threshold), units)))
+
+
+def _estimate_set(denoiser: DenoiserSpec, saturation_threshold: Optional[float], unit) -> FingerprintSet:
+    """FingerprintSet of one (camera, pipeline id, estimation paths) unit."""
+    cam, pid, paths = unit
+    full = FingerprintAccumulator(saturation_threshold)
+    halves = (
+        FingerprintAccumulator(saturation_threshold),
+        FingerprintAccumulator(saturation_threshold),
+    )
+    for i, path in enumerate(paths):
+        img = to_luminance(load_image(path))
+        res = residual(img, denoiser)
+        full.add(img, res)
+        halves[i % 2].add(img, res)
+    return FingerprintSet(*(clean_fingerprint(acc.finish(cam, pid)) for acc in (full, *halves)))
 
 
 def common_crop_planes(planes):
@@ -408,36 +457,57 @@ def pce_sweep(
             raise KeyError(
                 f"no fingerprint for camera {cam!r}, pipeline {estimation_pipeline!r}"
             )
+    sweep = partial(
+        _sweep_images,
+        manifest.root,
+        {cam: fingerprints[(cam, estimation_pipeline)] for cam in manifest.cameras},
+        estimation_pipeline,
+        patch_sizes,
+        denoiser,
+        exclusion_radius,
+    )
+    units = [
+        (cam_test, pid, manifest.image_paths(cam_test, pid, "test"))
+        for cam_test in manifest.cameras
+        for pid in manifest.pipeline_ids
+    ]
+    return [rec for records in _ordered_map(sweep, units) for rec in records]
+
+
+def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser, exclusion_radius, unit):
+    """ScoreRecords of one (test camera, pipeline id, test paths) unit.
+
+    ``fingerprints`` maps camera -> estimation-pipeline Fingerprint, in
+    manifest camera order.
+    """
+    cam_test, pid, paths = unit
     records = []
-    for cam_test in manifest.cameras:
-        for pid in manifest.pipeline_ids:
-            for path in manifest.image_paths(cam_test, pid, "test"):
-                img = to_luminance(load_image(path))
-                res = residual(img, denoiser)
-                rel = str(path.relative_to(manifest.root))
-                for cam_fp in manifest.cameras:
-                    fp = fingerprints[(cam_fp, estimation_pipeline)]
-                    cimg, cres, _ = common_crop_planes([img, res, fp.plane])
-                    label = "positive" if cam_fp == cam_test else "negative"
-                    for size in patch_sizes:
-                        if size > min(cimg.shape):
-                            continue
-                        grid = tile_patches(cimg, size)
-                        rgrid = tile_patches(cres, size)
-                        for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
-                            records.append(
-                                ScoreRecord.from_score(
-                                    match_patch(pimg, pres, fp, origin, exclusion_radius),
-                                    camera_fp=cam_fp,
-                                    camera_test=cam_test,
-                                    pipeline_est=estimation_pipeline,
-                                    pipeline_test=pid,
-                                    patch_size=size,
-                                    origin=origin,
-                                    image=rel,
-                                    label=label,
-                                )
-                            )
+    for path in paths:
+        img = to_luminance(load_image(path))
+        res = residual(img, denoiser)
+        rel = str(path.relative_to(root))
+        for cam_fp, fp in fingerprints.items():
+            cimg, cres, _ = common_crop_planes([img, res, fp.plane])
+            label = "positive" if cam_fp == cam_test else "negative"
+            for size in patch_sizes:
+                if size > min(cimg.shape):
+                    continue
+                grid = tile_patches(cimg, size)
+                rgrid = tile_patches(cres, size)
+                for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
+                    records.append(
+                        ScoreRecord.from_score(
+                            match_patch(pimg, pres, fp, origin, exclusion_radius),
+                            camera_fp=cam_fp,
+                            camera_test=cam_test,
+                            pipeline_est=estimation_pipeline,
+                            pipeline_test=pid,
+                            patch_size=size,
+                            origin=origin,
+                            image=rel,
+                            label=label,
+                        )
+                    )
     return records
 
 

@@ -46,6 +46,8 @@ def ncc(a, b) -> float:
     db = pb - pb.mean()
     saa = float(np.dot(da.ravel(), da.ravel()))
     sbb = float(np.dot(db.ravel(), db.ravel()))
+    if not (math.isfinite(saa) and math.isfinite(sbb)):
+        raise DegenerateInputError("plane holds a non-finite value")
     if saa == 0.0 or sbb == 0.0:
         raise DegenerateInputError("constant plane has no correlation")
     return float(np.dot(da.ravel(), db.ravel()) / (math.sqrt(saa) * math.sqrt(sbb)))
@@ -153,6 +155,8 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     window = surface[np.ix_(offsets % h, offsets % w)]
     flat = window.ravel()
     best = flat.max()
+    if not np.isfinite(best):
+        raise DegenerateInputError("plane holds a non-finite value")
     candidates = np.flatnonzero(flat == best)
     dy = offsets[candidates // len(offsets)]
     dx = offsets[candidates % len(offsets)]

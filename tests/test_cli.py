@@ -1,10 +1,12 @@
 import hashlib
 import json
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from prnukit import evalharness
 from prnukit.cli import build_parser, main
 from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
@@ -248,6 +250,18 @@ def test_evaluate_emits_reports(tmp_path, capsys):
         "alignment_shifts.csv",
     ):
         assert (report_dir / name).exists(), name
+
+
+def test_evaluate_worker_error_exits_1_without_leftover_children(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evalharness, "_usable_cores", lambda: 2)
+    cfg_path = _tiny_experiment(tmp_path)
+    blocker = tmp_path / "run" / "dataset" / "images" / "c1"
+    blocker.parent.mkdir(parents=True)
+    blocker.write_text("")  # camera c1's worker cannot make its image directory
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err, err
+    assert multiprocessing.active_children() == []
 
 
 # Malformed configs by the key their error must name.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prnukit import evalharness
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
 from prnukit.evalharness import (
@@ -20,6 +22,7 @@ from prnukit.evalharness import (
     read_score_records,
     report,
     roc,
+    run_evaluation,
     summarize,
     tpr_at_fpr,
     write_score_records,
@@ -282,6 +285,57 @@ def test_report_rerun_byte_identical(tmp_path, patch_manifest, patch_records, pa
     report(tmp_path / "r2", patch_manifest, None, patch_records, summary, patch_config)
     for name in ("pce_summary.csv", "roc_points.csv", "summary.json", "run_metadata.json", "score_records.jsonl"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def _pin_cores(monkeypatch, n):
+    """Run the harness on ``n`` worker processes; returns the list of pool sizes used."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(evalharness, "_usable_cores", lambda: n)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
+def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
+    cfg = _tiny_config(cameras=("camX", "camY"))
+    runs = {}
+    for cores in (1, 2):
+        pools = _pin_cores(monkeypatch, cores)
+        result = run_evaluation(cfg, tmp_path / f"cores{cores}")
+        # build, estimation and sweep each fork a pool only when parallel
+        assert pools == ([] if cores == 1 else [2, 2, 2])
+        root = tmp_path / f"cores{cores}"
+        runs[cores] = (
+            result.manifest.sha256(),
+            {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()},
+        )
+    assert runs[1][0] == runs[2][0]
+    assert runs[1][1].keys() == runs[2][1].keys()
+    for rel, data in runs[1][1].items():
+        assert runs[2][1][rel] == data, rel
+
+
+def test_worker_error_matches_serial_error(tmp_path, monkeypatch):
+    cfg = _tiny_config(cameras=("camX", "camY"))
+    manifest = build_dataset(cfg, tmp_path / "ds")
+    # two bad files in two units: the first in submission order must win
+    for cam, pid in (("camX", "p_b"), ("camY", "p_a")):
+        path = manifest.image_paths(cam, pid, "estimation")[1]
+        path.write_bytes(path.read_bytes()[:-7])
+    errors = {}
+    for cores in (1, 2):
+        _pin_cores(monkeypatch, cores)
+        with pytest.raises(FormatError) as exc:
+            estimate_fingerprint_sets(manifest, cfg.denoiser)
+        errors[cores] = (type(exc.value), str(exc.value))
+    assert errors[1] == errors[2]
+    assert str(manifest.image_paths("camX", "p_b", "estimation")[1]) in errors[2][1]
+    assert "truncated pixel data" in errors[2][1]
 
 
 def test_experiment_config_json_roundtrip():

@@ -180,6 +180,20 @@ def test_align_accepts_fingerprints():
     assert shift == (2, -3)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_non_finite_plane_is_degenerate(bad, which):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((64, 64))
+    b = _circ_shift(a, 1, 2)
+    (a if which == "a" else b)[17, 40] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        ncc(a, b)
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        align(a, b, max_shift=4)
+
+
 def test_match_patch_bounds_and_degenerate():
     rng = np.random.default_rng(8)
     fp = Fingerprint(rng.standard_normal((64, 64)))
