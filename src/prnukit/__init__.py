@@ -16,12 +16,11 @@ from .fingerprint import (
     whiten_plane,
 )
 from .imaging import (
-    PatchGrid,
     crop,
     load_image,
     save_image,
-    tile_patches,
     to_luminance,
+    window_origins,
 )
 from .ispsim import (
     DEFAULT_PIPELINES,
@@ -39,6 +38,7 @@ from .matching import (
     align,
     cross_correlate,
     match_patch,
+    match_windows,
     ncc,
     p_value,
     pce,
@@ -52,7 +52,6 @@ __all__ = [
     "FingerprintAccumulator",
     "FormatError",
     "HeatMap",
-    "PatchGrid",
     "PceScore",
     "PipelineConfig",
     "SATURATION_THRESHOLD",
@@ -71,6 +70,7 @@ __all__ = [
     "load_fingerprint",
     "load_image",
     "match_patch",
+    "match_windows",
     "ncc",
     "p_value",
     "pce",
@@ -82,8 +82,8 @@ __all__ = [
     "save_image",
     "synth_scene",
     "synth_sensor",
-    "tile_patches",
     "to_luminance",
     "wavelet_denoise",
     "whiten_plane",
+    "window_origins",
 ]

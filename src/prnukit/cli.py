@@ -21,9 +21,9 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, tile_patches, to_luminance
+from .imaging import load_image, to_luminance
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
 from .errors import ShapeError
 
 
@@ -77,16 +77,14 @@ def cmd_match(args) -> int:
     fp = load_fingerprint(args.fingerprint)
     res = residual(img, args.denoiser)
     if args.patch:
-        grid = tile_patches(img, args.patch)
-        rgrid = tile_patches(res, args.patch)
-        patches = zip(grid.origins, grid.patches, rgrid.patches)
+        scores = match_windows(img, res, fp, args.patch, exclusion_radius=args.exclusion_radius)
         size = args.patch
     else:
-        patches = [((0, 0), img, res)]
+        scores = [((0, 0), match_patch(img, res, fp, (0, 0), args.exclusion_radius))]
         size = img.shape[1]
     records = [
         ScoreRecord.from_score(
-            match_patch(pimg, pres, fp, origin, args.exclusion_radius),
+            score,
             camera_fp=fp.camera_id,
             camera_test="",
             pipeline_est=fp.pipeline_id,
@@ -96,7 +94,7 @@ def cmd_match(args) -> int:
             image=str(args.image),
             label="unlabeled",
         )
-        for origin, pimg, pres in patches
+        for origin, score in scores
     ]
     for rec in records:
         print(rec.json_line() if args.json else _score_line(rec))

@@ -38,9 +38,9 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, save_image, tile_patches, to_luminance
+from .imaging import load_image, save_image, to_luminance
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, capture, develop, synth_scene, synth_sensor
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, PceScore, align, match_patch, ncc
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, PceScore, align, match_windows, ncc
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -492,12 +492,10 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
             for size in patch_sizes:
                 if size > min(cimg.shape):
                     continue
-                grid = tile_patches(cimg, size)
-                rgrid = tile_patches(cres, size)
-                for origin, pimg, pres in zip(grid.origins, grid.patches, rgrid.patches):
+                for origin, score in match_windows(cimg, cres, fp, size, exclusion_radius=exclusion_radius):
                     records.append(
                         ScoreRecord.from_score(
-                            match_patch(pimg, pres, fp, origin, exclusion_radius),
+                            score,
                             camera_fp=cam_fp,
                             camera_test=cam_test,
                             pipeline_est=estimation_pipeline,

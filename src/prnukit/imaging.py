@@ -1,4 +1,4 @@
-"""Image planes, file I/O, luminance conversion, cropping and patch tiling.
+"""Image planes, file I/O, luminance conversion, cropping and window tiling.
 
 A plane is a plain 2-D float64 array with intensities nominally in [0, 1];
 a color image is an (H, W, 3) array. All operations here are pure and never
@@ -10,7 +10,6 @@ big-endian samples, plus PNG when Pillow is installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -160,46 +159,21 @@ def to_luminance(img) -> np.ndarray:
     raise ShapeError(f"expected (H, W) or (H, W, 3), got shape {a.shape}")
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    """Non-overlapping square tiling of a plane, anchored at (0, 0).
+def window_origins(shape, size: int, stride: int | None = None) -> list:
+    """Row-major (x, y) corners of every size x size window at multiples of ``stride``.
 
-    ``patches[i]`` is a read-only view into the source plane whose top-left
-    corner sits at ``origins[i]`` (x, y). Trailing remainder rows/columns
-    that do not fill a whole patch are discarded.
+    ``stride=None`` means ``size``: non-overlapping tiles anchored at (0, 0).
+    Windows that would cross the bottom or right edge are left out.
     """
-
-    patch_size: int
-    rows: int
-    cols: int
-    origins: tuple
-    patches: tuple
-
-    def __len__(self):
-        return len(self.patches)
-
-
-def tile_patches(plane, patch_size: int) -> PatchGrid:
-    """Tile ``plane`` into all non-overlapping patch_size x patch_size patches."""
-    p = as_plane(plane)
-    if patch_size < 1:
-        raise ValueError(f"patch_size must be >= 1, got {patch_size}")
-    h, w = p.shape
-    rows, cols = h // patch_size, w // patch_size
-    if rows == 0 or cols == 0:
-        raise ValueError(
-            f"patch_size {patch_size} exceeds plane dimensions {w}x{h}: empty grid"
-        )
-    origins = []
-    patches = []
-    for iy in range(rows):
-        for ix in range(cols):
-            x, y = ix * patch_size, iy * patch_size
-            origins.append((x, y))
-            view = p[y : y + patch_size, x : x + patch_size]
-            view.flags.writeable = False
-            patches.append(view)
-    return PatchGrid(patch_size, rows, cols, tuple(origins), tuple(patches))
+    h, w = shape
+    stride = size if stride is None else stride
+    if size < 1:
+        raise ValueError(f"window size must be >= 1, got {size}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if size > min(h, w):
+        raise ValueError(f"window size {size} larger than image {w}x{h}")
+    return [(x, y) for y in range(0, h - size + 1, stride) for x in range(0, w - size + 1, stride)]
 
 
 def crop(plane, x0: int, y0: int, w: int, h: int) -> np.ndarray:

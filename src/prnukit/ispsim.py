@@ -96,18 +96,6 @@ class SensorProfile:
     shot_noise_scale: float = 1.0e-4
     seed: int = 0
 
-    def to_json(self) -> dict:
-        """Serializable parameters; the gain plane itself is stored in the
-        fingerprint binary format."""
-        return {
-            "width": self.width,
-            "height": self.height,
-            "strength": self.strength,
-            "read_noise_std": self.read_noise_std,
-            "shot_noise_scale": self.shot_noise_scale,
-            "seed": self.seed,
-        }
-
 
 def synth_sensor(
     width: int,

@@ -19,7 +19,7 @@ from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_gray_u8
-from .matching import DEFAULT_EXCLUSION_RADIUS, match_patch
+from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -45,11 +45,6 @@ class HeatMap:
         return self.grid.shape
 
 
-def grid_shape(image_shape, window: int, stride: int):
-    h, w = image_shape
-    return ((h - window) // stride + 1, (w - window) // stride + 1)
-
-
 def pce_map(
     image,
     fp: Fingerprint,
@@ -64,22 +59,12 @@ def pce_map(
         raise ShapeError(
             f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
         )
-    h, w = img.shape
-    if window > min(h, w):
-        raise ValueError(f"window {window} larger than image {w}x{h}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     if denoiser is None:
         denoiser = DenoiserSpec()
     res = residual(img, denoiser)
-    rows, cols = grid_shape(img.shape, window, stride)
-    grid = np.empty((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            y, x = i * stride, j * stride
-            win = (slice(y, y + window), slice(x, x + window))
-            score = match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak=(0, 0))
-            grid[i, j] = score.pce
+    scores = match_windows(img, res, fp, window, stride, exclusion_radius, peak=(0, 0))
+    cols = sum(1 for (x, y), _ in scores if y == 0)  # windows in the first row
+    grid = np.array([score.pce for _, score in scores]).reshape(-1, cols)
     return HeatMap(grid, window, stride)
 
 
@@ -110,27 +95,21 @@ def render_map(hmap: HeatMap, path, postprocess: str = "none") -> None:
     save_gray_u8(q, path)
 
 
-def map_to_json(hmap: HeatMap) -> dict:
+def save_map_json(hmap: HeatMap, path) -> None:
     rows, cols = hmap.grid.shape
-    return {
+    obj = {
         "rows": rows,
         "cols": cols,
         "window": hmap.window,
         "stride": hmap.stride,
         "values": [float(v) for v in hmap.grid.ravel()],
     }
+    Path(path).write_text(json.dumps(obj) + "\n")
 
 
-def map_from_json(obj: dict) -> HeatMap:
+def load_map_json(path) -> HeatMap:
+    obj = json.loads(Path(path).read_text())
     grid = np.array(obj["values"], dtype=np.float64).reshape(
         obj["rows"], obj["cols"]
     )
     return HeatMap(grid, int(obj["window"]), int(obj["stride"]))
-
-
-def save_map_json(hmap: HeatMap, path) -> None:
-    Path(path).write_text(json.dumps(map_to_json(hmap)) + "\n")
-
-
-def load_map_json(path) -> HeatMap:
-    return map_from_json(json.loads(Path(path).read_text()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .fingerprint import Fingerprint
-from .imaging import as_plane
+from .imaging import as_plane, window_origins
 
 DEFAULT_EXCLUSION_RADIUS = 5
 DEFAULT_MAX_SHIFT = 16
@@ -199,3 +199,21 @@ def match_patch(
     template = img * kplane[y0 : y0 + ph, x0 : x0 + pw]
     surface = cross_correlate(res, template)
     return pce(surface, exclusion_radius, peak=peak)
+
+
+def match_windows(
+    test_image,
+    test_residual,
+    fp: Fingerprint,
+    size: int,
+    stride: int | None = None,
+    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
+    peak: tuple | None = None,
+) -> list:
+    """Row-major ``[((x, y), PceScore), ...]``: ``match_patch`` of each window_origins window."""
+    img, res = _pair(test_image, test_residual)
+    scores = []
+    for x, y in window_origins(img.shape, size, stride):
+        win = (slice(y, y + size), slice(x, x + size))
+        scores.append(((x, y), match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak)))
+    return scores

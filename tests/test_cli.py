@@ -197,6 +197,18 @@ def test_localize_writes_maps(tmp_path, capsys):
     assert np.all((hm.grid >= 0) & (hm.grid <= 1))
 
 
+def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys):
+    rng = np.random.default_rng(36)
+    save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
+    save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
+    argv = ["localize", "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp")]
+    rc = main(argv + ["--window", "0", "--out-map", str(tmp_path / "map.pgm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "window" in err, err
+    assert not (tmp_path / "map.pgm").exists()
+
+
 def _tiny_experiment(tmp_path):
     pipes = (
         PipelineConfig("p_a", demosaic="bilinear"),

@@ -7,8 +7,8 @@ from prnukit.imaging import (
     crop,
     load_image,
     save_image,
-    tile_patches,
     to_luminance,
+    window_origins,
 )
 
 
@@ -131,35 +131,58 @@ def test_luminance_linear(alpha, beta, h, w):
     ],
 )
 def test_tile_counts(dims, size, count):
-    grid = tile_patches(np.zeros(dims), size)
-    assert len(grid) == count
-    assert grid.rows * grid.cols == count
+    assert len(window_origins(dims, size)) == count
+
+
+@pytest.mark.parametrize(
+    "dims,size,stride,count",
+    [
+        ((512, 512), 128, 16, 625),
+        ((512, 512), 128, 64, 49),
+        ((300, 200), 128, 64, 6),
+        ((200, 300), 100, 150, 2),
+    ],
+)
+def test_strided_window_counts(dims, size, stride, count):
+    assert len(window_origins(dims, size, stride)) == count
 
 
 def test_tile_errors():
-    with pytest.raises(ValueError):
-        tile_patches(np.zeros((64, 64)), 0)
-    with pytest.raises(ValueError):
-        tile_patches(np.zeros((64, 64)), 65)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), 0)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), -4, 8)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), 65)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 80), 65, 1)
+    with pytest.raises(ValueError, match="stride"):
+        window_origins((64, 64), 8, 0)
+    with pytest.raises(ValueError, match="stride"):
+        window_origins((64, 64), 8, -1)
 
 
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 15))
-def test_tile_partition_property(h, w, size):
-    plane = np.arange(h * w, dtype=float).reshape(h, w)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 15), st.none() | st.integers(1, 20))
+def test_tile_partition_property(h, w, size, stride):
     if size > min(h, w):
         with pytest.raises(ValueError):
-            tile_patches(plane, size)
+            window_origins((h, w), size, stride)
         return
-    grid = tile_patches(plane, size)
-    assert grid.rows == h // size and grid.cols == w // size
-    seen = np.zeros((h, w), dtype=int)
-    for (x, y), patch in zip(grid.origins, grid.patches):
-        assert patch.shape == (size, size)
-        assert np.array_equal(patch, plane[y : y + size, x : x + size])
-        seen[y : y + size, x : x + size] += 1
-    covered = seen[: grid.rows * size, : grid.cols * size]
-    assert np.all(covered == 1)
-    assert seen.sum() == covered.size
+    origins = window_origins((h, w), size, stride)
+    step = size if stride is None else stride
+    # row-major: every corner on the step lattice whose window fits, nothing else
+    fits = [(x, y) for y in range(h) for x in range(w) if x + size <= w and y + size <= h]
+    assert origins == [(x, y) for x, y in fits if x % step == 0 and y % step == 0]
+    if stride is None:
+        # non-overlapping tiles cover the top-left rows x cols block exactly once
+        rows, cols = h // size, w // size
+        assert len(origins) == rows * cols
+        seen = np.zeros((h, w), dtype=int)
+        for x, y in origins:
+            seen[y : y + size, x : x + size] += 1
+        covered = seen[: rows * size, : cols * size]
+        assert np.all(covered == 1)
+        assert seen.sum() == covered.size
 
 
 def test_crop_identity_and_indexing():

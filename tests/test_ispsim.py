@@ -209,13 +209,6 @@ def test_config_json_roundtrip_property(cfg):
     assert type(cfg).from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
-def test_sensor_json_omits_pattern():
-    sensor = synth_sensor(64, 64, seed=13)
-    obj = sensor.to_json()
-    assert "prnu" not in obj
-    assert obj["width"] == 64 and obj["seed"] == 13
-
-
 def _pipeline_fingerprint(raws, cfg, denoiser, indices):
     imgs = []
     res = []

@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +9,10 @@ from hypothesis import given, strategies as st
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.fingerprint import Fingerprint, residual
-from prnukit.imaging import load_image
+from prnukit.imaging import load_image, window_origins
 from prnukit.localization import (
     HeatMap,
-    grid_shape,
     load_map_json,
-    map_from_json,
-    map_to_json,
     pce_map,
     probability_map,
     render_map,
@@ -29,9 +25,12 @@ from prnukit.matching import match_patch
 def test_grid_shape_formula(h, w, window, stride):
     if window > min(h, w):
         return
-    rows, cols = grid_shape((h, w), window, stride)
-    assert rows == len(range(0, h - window + 1, stride))
-    assert cols == len(range(0, w - window + 1, stride))
+    origins = window_origins((h, w), window, stride)
+    rows, cols = (h - window) // stride + 1, (w - window) // stride + 1
+    assert len(origins) == rows * cols
+    # pce_map reshapes the row-major scores into the grid HeatMap.origin indexes
+    hm = HeatMap(np.zeros((rows, cols)), window, stride)
+    assert origins == [hm.origin(i, j) for i in range(rows) for j in range(cols)]
 
 
 def test_pce_map_matches_formula_and_detects_pattern():
@@ -40,7 +39,7 @@ def test_pce_map_matches_formula_and_detects_pattern():
     fp = Fingerprint(k)
     image = 0.5 * (1.0 + k) + rng.normal(0, 0.002, k.shape)
     hm = pce_map(image, fp, window=64, stride=32, denoiser=DenoiserSpec("gaussian", sigma=1.0))
-    assert hm.shape == grid_shape(image.shape, 64, 32)
+    assert hm.shape == (4, 5)
     assert hm.origin(1, 2) == (64, 32)
     assert np.median(hm.grid) > 50.0
     # each entry is match_patch's score of that window, pinned at (0, 0)
@@ -61,6 +60,12 @@ def test_pce_map_validation():
         pce_map(img, fp, window=32, stride=0)
     with pytest.raises(ShapeError):
         pce_map(np.random.default_rng(3).random((32, 64)), fp, window=16, stride=16)
+    with pytest.raises(ValueError, match="window"):
+        pce_map(img, fp, window=0, stride=16)
+    with pytest.raises(ValueError, match="window"):
+        pce_map(img, fp, window=-4, stride=16)
+    with pytest.raises(ValueError, match="stride"):
+        pce_map(img, fp, window=32, stride=0)
 
 
 def test_pce_map_zero_fingerprint_degenerate():
@@ -124,10 +129,6 @@ def test_render_rejects_unknown_postprocess(tmp_path):
 def test_map_json_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     hm = HeatMap(rng.standard_normal((3, 4)), window=128, stride=64)
-    obj = map_to_json(hm)
-    assert obj["rows"] == 3 and obj["cols"] == 4
-    back = map_from_json(json.loads(json.dumps(obj)))
-    assert np.array_equal(back.grid, hm.grid)
     path = tmp_path / "map.json"
     save_map_json(hm, path)
     loaded = load_map_json(path)

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import cross_correlate_direct
 from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.fingerprint import Fingerprint
+from prnukit.imaging import window_origins
 from prnukit.matching import (
     align,
     cross_correlate,
     match_patch,
+    match_windows,
     ncc,
     p_value,
     pce,
@@ -217,3 +219,24 @@ def test_match_patch_detects_planted_pattern():
     assert score.peak_location == (0, 0)
     wrong = match_patch(img, rng.normal(0, 0.01, (64, 64)), fp, origin=(16, 32))
     assert wrong.pce < score.pce
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**31),
+    st.integers(12, 24),
+    st.none() | st.integers(4, 16),
+    st.sampled_from([None, (0, 0)]),
+)
+def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak):
+    rng = np.random.default_rng(seed)
+    k = rng.normal(0, 0.02, (40, 56))
+    fp = Fingerprint(k)
+    img = rng.random((34, 50))
+    res = img * k[:34, :50] + rng.normal(0, 0.01, img.shape)
+    got = match_windows(img, res, fp, size, stride, exclusion_radius=3, peak=peak)
+    origins = window_origins(img.shape, size, stride)
+    assert [origin for origin, _ in got] == origins
+    for (x, y), score in got:
+        win = (slice(y, y + size), slice(x, x + size))
+        assert score == match_patch(img[win], res[win], fp, (x, y), exclusion_radius=3, peak=peak)
