@@ -21,7 +21,7 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, to_luminance
+from .imaging import load_image, to_luminance, window_origins
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
 from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
 from .errors import ShapeError
@@ -75,6 +75,8 @@ def _score_line(rec: ScoreRecord) -> str:
 def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
+    if args.patch:
+        window_origins(img.shape, args.patch)  # reject a bad window before the residual
     res = residual(img, args.denoiser)
     if args.patch:
         scores = match_windows(img, res, fp, args.patch, exclusion_radius=args.exclusion_radius)

@@ -66,6 +66,24 @@ def _usable_cores() -> int:
         return 1
 
 
+def _keep_worker_heap() -> None:
+    """Pool initializer: workers keep freed heap pages instead of returning them.
+
+    Setting either glibc threshold turns off the dynamic rule that trims each
+    residual's freed temporaries, so both are set. It must not raise: a raising
+    initializer breaks the pool.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc (TypeError: Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling for its dynamic value
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's own rule sets it
+
+
 def _ordered_map(fn, units) -> list:
     """``list(map(fn, units))`` over one forked process per usable core.
 
@@ -84,7 +102,8 @@ def _ordered_map(fn, units) -> list:
     # fork, not spawn: workers share the imported numpy/scipy instead of
     # re-importing them per pool, and callers need no __main__ guard. The
     # executor forks every worker before it starts its own manager thread.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_keep_worker_heap)
     try:
         return list(pool.map(fn, units))
     finally:

@@ -18,7 +18,7 @@ from scipy.special import erfc
 from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
-from .imaging import as_plane, save_gray_u8
+from .imaging import as_plane, save_gray_u8, window_origins
 from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows
 
 DEFAULT_WINDOW = 128
@@ -59,6 +59,7 @@ def pce_map(
         raise ShapeError(
             f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
         )
+    window_origins(img.shape, window, stride)  # reject a bad geometry before the residual
     if denoiser is None:
         denoiser = DenoiserSpec()
     res = residual(img, denoiser)

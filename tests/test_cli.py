@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prnukit import evalharness
+from prnukit import cli, evalharness, localization
 from prnukit.cli import build_parser, main
 from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
@@ -197,7 +197,12 @@ def test_localize_writes_maps(tmp_path, capsys):
     assert np.all((hm.grid >= 0) & (hm.grid <= 1))
 
 
-def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys):
+def _never_denoised(*args, **kw):
+    raise AssertionError("the residual was computed before the window was checked")
+
+
+def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(localization, "residual", _never_denoised)
     rng = np.random.default_rng(36)
     save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
     save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
@@ -207,6 +212,18 @@ def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "window" in err, err
     assert not (tmp_path / "map.pgm").exists()
+
+
+def test_match_bad_patch_exits_1_before_the_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "residual", _never_denoised)
+    rng = np.random.default_rng(37)
+    save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
+    save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
+    argv = ["match", "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp")]
+    assert main(argv + ["--patch", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window size must be >= 1, got -3\n"
 
 
 def _tiny_experiment(tmp_path):

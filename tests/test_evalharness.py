@@ -1,7 +1,11 @@
 import concurrent.futures
 import csv
+import ctypes
 import json
+import os
 import re
+import resource
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prnukit import evalharness
+from prnukit.denoise import wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
 from prnukit.evalharness import (
@@ -301,6 +306,10 @@ def _pin_cores(monkeypatch, n):
     return pools
 
 
+def _file_tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
     cfg = _tiny_config(cameras=("camX", "camY"))
     runs = {}
@@ -309,15 +318,72 @@ def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
         result = run_evaluation(cfg, tmp_path / f"cores{cores}")
         # build, estimation and sweep each fork a pool only when parallel
         assert pools == ([] if cores == 1 else [2, 2, 2])
-        root = tmp_path / f"cores{cores}"
-        runs[cores] = (
-            result.manifest.sha256(),
-            {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()},
-        )
+        runs[cores] = (result.manifest.sha256(), _file_tree(tmp_path / f"cores{cores}"))
     assert runs[1][0] == runs[2][0]
     assert runs[1][1].keys() == runs[2][1].keys()
     for rel, data in runs[1][1].items():
         assert runs[2][1][rel] == data, rel
+
+
+def _denoise_faults(seed):
+    """Minor page faults of this process over 10 warm 256x256 wavelet_denoise calls."""
+    plane = np.random.default_rng(seed).random((256, 256))
+    for _ in range(3):
+        wavelet_denoise(plane)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        wavelet_denoise(plane)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_workers_keep_their_heap(monkeypatch):
+    # Under glibc's dynamic thresholds each warm call re-faults about 1,250 pages.
+    _pin_cores(monkeypatch, 2)
+    faults = evalharness._ordered_map(_denoise_faults, [0, 1])
+    assert all(n < 1000 for n in faults), faults
+
+
+def test_heap_setting_runs_only_in_forked_workers(tmp_path, monkeypatch):
+    def record():  # a file per calling process, since workers share no memory
+        (tmp_path / str(os.getpid())).touch()
+
+    monkeypatch.setattr(evalharness, "_keep_worker_heap", record)
+    for cores in (1, 2):
+        _pin_cores(monkeypatch, cores)
+        assert evalharness._ordered_map(abs, [-1, -2, -3]) == [1, 2, 3]
+        if cores == 1:
+            assert list(tmp_path.iterdir()) == []
+    callers = {int(p.name) for p in tmp_path.iterdir()}
+    assert callers and os.getpid() not in callers
+
+
+def _libc_without_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("libc", [_libc_without_mallopt, _no_libc], ids=["no-mallopt", "no-libc"])
+def test_parallel_run_without_mallopt_matches_serial(tmp_path, monkeypatch, libc):
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    assert evalharness._keep_worker_heap() is None
+    cfg = _tiny_config(cameras=("camX", "camY"))
+    trees = {}
+    for cores in (1, 2):
+        _pin_cores(monkeypatch, cores)
+        run_evaluation(cfg, tmp_path / f"cores{cores}")
+        trees[cores] = _file_tree(tmp_path / f"cores{cores}")
+    assert trees[1] == trees[2]
 
 
 def test_worker_error_matches_serial_error(tmp_path, monkeypatch):
