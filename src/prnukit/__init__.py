@@ -26,6 +26,7 @@ from .ispsim import (
     DEFAULT_PIPELINES,
     PipelineConfig,
     SensorProfile,
+    SensorSpec,
     ToneCurve,
     capture,
     develop,
@@ -56,6 +57,7 @@ __all__ = [
     "PipelineConfig",
     "SATURATION_THRESHOLD",
     "SensorProfile",
+    "SensorSpec",
     "ShapeError",
     "ToneCurve",
     "align",

@@ -6,9 +6,7 @@ default, as does ``null`` except on an ``Optional`` field, where it means
 None. Values convert by the annotated type: dataclasses recurse, tuples need
 JSON lists, numbers may be JSON strings, an int takes no fraction. A class
 with a ``KIND_PARAM`` table (kind -> field) is written as its kind plus the
-one parameter that kind uses, and knows no other parameter key. A class with
-a ``JSON_GROUPS`` table (group -> fields) nests those fields in one JSON
-object per group, so they are known there only (``sensor.width``).
+one parameter that kind uses, and knows no other parameter key.
 ``check_id`` is the rule for ids that name dataset directories.
 """
 
@@ -27,39 +25,29 @@ def to_json(obj):
         return obj
     kind_param = getattr(obj, "KIND_PARAM", None)
     names = ["kind", kind_param[obj.kind]] if kind_param else [f.name for f in dataclasses.fields(obj)]
-    out = {name: to_json(getattr(obj, name)) for name in names}
-    for group, keys in getattr(obj, "JSON_GROUPS", {}).items():
-        out[group] = {key: out.pop(key) for key in keys}
-    return out
+    return {name: to_json(getattr(obj, name)) for name in names}
 
 
 def from_json(cls, obj, path: str = ""):
     """Instance of dataclass ``cls``; ``path`` prefixes key names in errors."""
     json_object(obj, path.rstrip(".") or "config")
     fields = dataclasses.fields(cls)
-    groups = getattr(cls, "JSON_GROUPS", {})
-    known = {f.name for f in fields}.union(groups).difference(*groups.values())  # top-level keys
+    known = {f.name for f in fields}
     kind_param = getattr(cls, "KIND_PARAM", {})
     kind = getattr(cls, "kind", None) if obj.get("kind") is None else obj["kind"]
     if isinstance(kind, str) and kind in kind_param:  # an unknown kind fails __post_init__
         known -= set(kind_param.values()) - {kind_param[kind]}
     unknown = [path + key for key in obj if key not in known]
-    where = {f.name: (obj, path + f.name) for f in fields}  # JSON object and dotted key
-    for group, names in groups.items():
-        sub = json_object(obj.get(group, {}), path + group)
-        unknown += [f"{path}{group}.{key}" for key in sub if key not in names]
-        where.update((name, (sub, f"{path}{group}.{name}")) for name in names)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     hints = _type_hints(cls)
     kwargs = {}
     for f in fields:
         tp = hints[f.name]
-        src, key = where[f.name]
-        if src.get(f.name) is not None or (f.name in src and typing.get_origin(tp) is typing.Union):
-            kwargs[f.name] = _value_from_json(tp, src[f.name], key)
+        if obj.get(f.name) is not None or (f.name in obj and typing.get_origin(tp) is typing.Union):
+            kwargs[f.name] = _value_from_json(tp, obj[f.name], path + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ValueError(f"missing config key: {key}")
+            raise ValueError(f"missing config key: {path}{f.name}")
     try:
         return cls(**kwargs)
     except ValueError as exc:  # name the nested config that failed its checks

@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -39,7 +39,7 @@ from .fingerprint import (
     save_fingerprint,
 )
 from .imaging import load_image, save_image, to_luminance
-from .ispsim import DEFAULT_PIPELINES, PipelineConfig, capture, develop, synth_scene, synth_sensor
+from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop, synth_scene, synth_sensor
 from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, PceScore, align, match_windows, ncc
 
 DEFAULT_TARGET_FPR = 0.005
@@ -114,14 +114,8 @@ def _ordered_map(fn, units) -> list:
 class ExperimentConfig:
     """One experiment: sensors, pipeline roster, dataset sizes, sweep knobs."""
 
-    JSON_GROUPS = {"sensor": ("width", "height", "strength", "read_noise_std", "shot_noise_scale")}
-
     seed: int = 7
-    width: int = 256
-    height: int = 256
-    strength: float = 0.02
-    read_noise_std: float = 0.002
-    shot_noise_scale: float = 1.0e-4
+    sensor: SensorSpec = field(default_factory=SensorSpec)
     cameras: tuple[str, ...] = ("cam0", "cam1")
     pipelines: tuple[PipelineConfig, ...] = DEFAULT_PIPELINES
     n_estimation: int = 20
@@ -238,14 +232,7 @@ def _build_camera(config: ExperimentConfig, root: Path, cam_idx: int):
     path).
     """
     cam = config.cameras[cam_idx]
-    sensor = synth_sensor(
-        config.width,
-        config.height,
-        strength=config.strength,
-        read_noise_std=config.read_noise_std,
-        shot_noise_scale=config.shot_noise_scale,
-        seed=derive_seed(config.seed, _STREAM_SENSOR, cam_idx),
-    )
+    sensor = synth_sensor(**asdict(config.sensor), seed=derive_seed(config.seed, _STREAM_SENSOR, cam_idx))
     gt_rel = f"groundtruth/{cam}.fp"
     save_fingerprint(
         Fingerprint(sensor.prnu, camera_id=cam, pipeline_id="groundtruth", n_sources=1),
@@ -260,8 +247,8 @@ def _build_camera(config: ExperimentConfig, root: Path, cam_idx: int):
             img_idx = base + i
             kind, level = mix[i % len(mix)]
             scene = synth_scene(
-                config.width,
-                config.height,
+                config.sensor.width,
+                config.sensor.height,
                 kind=kind,
                 seed=derive_seed(config.seed, _STREAM_SCENE, cam_idx, img_idx),
                 level=level,

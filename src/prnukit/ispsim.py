@@ -84,40 +84,51 @@ class PipelineConfig:
     from_json = classmethod(_config.from_json)
 
 
-@dataclass(eq=False)
-class SensorProfile:
-    """Sensor geometry, planted gain pattern and noise parameters."""
+@dataclass(frozen=True)
+class SensorSpec:
+    """Sensor geometry, gain-pattern strength (std of K) and noise parameters."""
 
-    width: int
-    height: int
-    prnu: np.ndarray
-    strength: float
+    width: int = 256
+    height: int = 256
+    strength: float = 0.02
     read_noise_std: float = 0.002
     shot_noise_scale: float = 1.0e-4
-    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if value < 64 or value % 2:
+                raise ValueError(f"{name} must be even (full Bayer quads) and >= 64, got {value}")
+        if not 0.0 < self.strength <= 0.1:
+            raise ValueError(f"strength must be in (0, 0.1], got {self.strength}")
+        for name in ("read_noise_std", "shot_noise_scale"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+@dataclass(eq=False)
+class SensorProfile:
+    """A sensor description and its planted gain pattern K."""
+
+    spec: SensorSpec
+    prnu: np.ndarray
 
 
 def synth_sensor(
     width: int,
     height: int,
-    strength: float = 0.02,
-    read_noise_std: float = 0.002,
-    shot_noise_scale: float = 1.0e-4,
+    strength: float = SensorSpec.strength,
+    read_noise_std: float = SensorSpec.read_noise_std,
+    shot_noise_scale: float = SensorSpec.shot_noise_scale,
     seed: int = 0,
 ) -> SensorProfile:
     """Draw a zero-mean Gaussian gain pattern with std = strength."""
-    if width < 64 or height < 64:
-        raise ValueError(f"sensor dimensions must be >= 64, got {width}x{height}")
-    if width % 2 or height % 2:
-        raise ValueError("sensor dimensions must be even (full Bayer quads)")
-    if not 0.0 < strength <= 0.1:
-        raise ValueError(f"strength must be in (0, 0.1], got {strength}")
+    spec = SensorSpec(width, height, strength, read_noise_std, shot_noise_scale)
     rng = np.random.default_rng(seed)
     prnu = rng.normal(0.0, strength, size=(height, width))
     prnu -= prnu.mean()
-    return SensorProfile(
-        width, height, prnu, strength, read_noise_std, shot_noise_scale, seed
-    )
+    return SensorProfile(spec, prnu)
 
 
 def synth_scene(
@@ -167,19 +178,18 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     if sc.ndim != 3 or sc.shape[2] != 3:
         raise ShapeError(f"scene must be (H, W, 3), got {sc.shape}")
     h, w = sc.shape[:2]
-    if (w, h) != (sensor.width, sensor.height):
-        raise ShapeError(
-            f"scene {w}x{h} does not match sensor {sensor.width}x{sensor.height}"
-        )
+    spec = sensor.spec
+    if (w, h) != (spec.width, spec.height):
+        raise ShapeError(f"scene {w}x{h} does not match sensor {spec.width}x{spec.height}")
     if h % 2 or w % 2:
         raise ShapeError("mosaic requires even dimensions")
     rmask, _, bmask = _bayer_masks((h, w))
     bayer = np.where(rmask, sc[:, :, 0], np.where(bmask, sc[:, :, 2], sc[:, :, 1]))
     signal = bayer * (1.0 + sensor.prnu)
     rng = np.random.default_rng(seed)
-    shot_sd = np.sqrt(np.clip(bayer, 0.0, None) * sensor.shot_noise_scale)
+    shot_sd = np.sqrt(np.clip(bayer, 0.0, None) * spec.shot_noise_scale)
     noise = rng.standard_normal((h, w)) * shot_sd
-    noise += rng.standard_normal((h, w)) * sensor.read_noise_std
+    noise += rng.standard_normal((h, w)) * spec.read_noise_std
     return np.clip(signal + noise, 0.0, 1.0)
 
 

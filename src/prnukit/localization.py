@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import median_filter
-from scipy.special import erfc
 
 from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_gray_u8, window_origins
-from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows
+from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows, p_value
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -70,14 +69,13 @@ def pce_map(
 
 
 def probability_map(pmap: HeatMap) -> HeatMap:
-    """Per-window tampering probability from the PCE tail model.
+    """Per-window tampering probability: the :func:`~prnukit.matching.p_value` of each PCE.
 
     A pointwise monotone non-increasing transform of the PCE: zero PCE maps
     to 0.5, large PCE to ~0, so authentic regions go dark and mismatched
     regions stay bright.
     """
-    g = np.maximum(pmap.grid, 0.0)
-    probs = 0.5 * erfc(np.sqrt(g) / np.sqrt(2.0))
+    probs = np.vectorize(p_value, otypes=[float])(pmap.grid, pmap.window**2)
     return HeatMap(probs, pmap.window, pmap.stride)
 
 

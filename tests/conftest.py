@@ -12,7 +12,7 @@ from prnukit.evalharness import (
     pce_sweep,
     split_half_correlations,
 )
-from prnukit.ispsim import DEFAULT_PIPELINES
+from prnukit.ispsim import DEFAULT_PIPELINES, SensorSpec
 
 settings.register_profile(
     "ci",
@@ -33,8 +33,7 @@ PATCH_SEED = 11
 def ci_config():
     return ExperimentConfig(
         seed=CI_SEED,
-        width=256,
-        height=256,
+        sensor=SensorSpec(256, 256),
         cameras=("cam0", "cam1"),
         pipelines=DEFAULT_PIPELINES,
         n_estimation=32,
@@ -64,8 +63,7 @@ def patch_config():
     roster = tuple(p for p in DEFAULT_PIPELINES if p.crop_offset == (0, 0))
     return ExperimentConfig(
         seed=PATCH_SEED,
-        width=512,
-        height=512,
+        sensor=SensorSpec(512, 512),
         cameras=("camA", "camB"),
         pipelines=roster,
         n_estimation=10,

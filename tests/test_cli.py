@@ -12,7 +12,7 @@ from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
 from prnukit.fingerprint import Fingerprint, load_fingerprint, save_fingerprint
 from prnukit.imaging import save_image
-from prnukit.ispsim import PipelineConfig, ToneCurve, capture, synth_scene, synth_sensor
+from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve, capture, synth_scene, synth_sensor
 from prnukit.localization import load_map_json
 
 
@@ -233,8 +233,7 @@ def _tiny_experiment(tmp_path):
     )
     cfg = ExperimentConfig(
         seed=9,
-        width=64,
-        height=64,
+        sensor=SensorSpec(64, 64),
         cameras=("c0", "c1"),
         pipelines=pipes,
         n_estimation=3,
@@ -298,11 +297,18 @@ _MALFORMED = {
     "pipelines[1].demosiac": lambda c: c["pipelines"][1].update(demosiac="nearest"),
     "pipelines[0].tone.gama": lambda c: c["pipelines"][0]["tone"].update(gama=2.0),
     "denoiser.noise_varaince": lambda c: c["denoiser"].update(noise_varaince=1e-4),
-    "sensor": lambda c: c.update(sensor=None),
+    "sensor": lambda c: c.update(sensor=5),
     "cameras": lambda c: c.update(cameras="cam0"),
     "pipelines": lambda c: c.update(pipelines="defualt"),
     "pipelines[0].id": lambda c: c["pipelines"][0].pop("id"),
     "sensor.width": lambda c: c["sensor"].update(width="abc"),
+    # sensor values fail when the config loads, before any output exists
+    "sensor: width must be even (full Bayer quads) and >= 64, got 65": lambda c: c["sensor"].update(width=65),
+    "sensor: width must be even (full Bayer quads) and >= 64, got 62": lambda c: c["sensor"].update(width=62),
+    "sensor: strength must be in (0, 0.1], got 0.0": lambda c: c["sensor"].update(strength=0),
+    "sensor: strength must be in (0, 0.1], got 0.2": lambda c: c["sensor"].update(strength=0.2),
+    "sensor: read_noise_std must be finite and >= 0, got -0.5": lambda c: c["sensor"].update(read_noise_std=-0.5),
+    "sensor: shot_noise_scale must be finite and >= 0, got -1.0": lambda c: c["sensor"].update(shot_noise_scale=-1),
 }
 
 

@@ -32,7 +32,7 @@ from prnukit.evalharness import (
     tpr_at_fpr,
     write_score_records,
 )
-from prnukit.ispsim import PipelineConfig, ToneCurve
+from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve
 
 _TINY_PIPES = (
     PipelineConfig("p_a", demosaic="bilinear"),
@@ -43,8 +43,7 @@ _TINY_PIPES = (
 def _tiny_config(seed=5, **kw):
     base = dict(
         seed=seed,
-        width=64,
-        height=64,
+        sensor=SensorSpec(64, 64),
         cameras=("camX",),
         pipelines=_TINY_PIPES,
         n_estimation=2,
@@ -412,6 +411,7 @@ def test_experiment_config_json_roundtrip():
     assert len(default.pipelines) == 6
     assert default.estimation_pipeline == default.pipelines[0].id
     assert ExperimentConfig.from_json({}).to_json() == ExperimentConfig().to_json()
+    assert ExperimentConfig.from_json({"sensor": None}).sensor == SensorSpec()  # null keeps the default
 
 
 def test_experiment_config_validation():
@@ -427,7 +427,9 @@ def test_experiment_config_validation():
         ({"n_estimaton": 60}, "n_estimaton"),
         ({"width": 64}, "width"),
         ({"sensor": {"widht": 64}}, "sensor.widht"),
-        ({"seed": 1, "sensor": {"width": 64, "nois": 1}, "extra": 0}, "extra, sensor.nois"),
+        # the top-level keys are checked before any nested object's
+        ({"seed": 1, "sensor": {"width": 64, "nois": 1}, "extra": 0}, "extra"),
+        ({"seed": 1, "sensor": {"width": 64, "nois": 1}}, "sensor.nois"),
         # a kind knows its own parameter only
         ({"denoiser": {"kind": "gaussian", "noise_variance": 1e-4}}, "denoiser.noise_variance"),
         ({"denoiser": {"noise_variance": 1e-4, "sigma": 2.0}}, "denoiser.sigma"),

@@ -14,6 +14,7 @@ from prnukit.ispsim import (
     DEMOSAIC_KINDS,
     PipelineConfig,
     SensorProfile,
+    SensorSpec,
     ToneCurve,
     capture,
     develop,
@@ -42,6 +43,9 @@ def test_sensor_validation():
         synth_sensor(256, 256, strength=0.2)
     with pytest.raises(ValueError):
         synth_sensor(65, 64)
+    for name, value in (("read_noise_std", -1e-3), ("shot_noise_scale", -1e-6), ("read_noise_std", float("nan"))):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            synth_sensor(64, 64, **{name: value})
 
 
 def test_scene_kinds():
@@ -61,7 +65,7 @@ def test_scene_kinds():
 
 def test_capture_zero_model_collapse():
     scene = synth_scene(64, 64, "flat", level=0.5)
-    zero = SensorProfile(64, 64, np.zeros((64, 64)), 0.0, 0.0, 0.0, 0)
+    zero = SensorProfile(SensorSpec(64, 64, read_noise_std=0.0, shot_noise_scale=0.0), np.zeros((64, 64)))
     raw = capture(scene, zero, seed=1)
     assert np.array_equal(raw, np.full((64, 64), 0.5))
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from prnukit.localization import (
     render_map,
     save_map_json,
 )
-from prnukit.matching import match_patch
+from prnukit.matching import match_patch, p_value
 
 
 @given(st.integers(16, 300), st.integers(16, 300), st.integers(16, 64), st.integers(1, 40))
@@ -95,6 +96,13 @@ def test_probability_preserves_ordering():
     assert np.array_equal(order_pce[: positive.sum()], order_prob[: positive.sum()])
 
 
+def test_probability_is_p_value_of_each_window():
+    # 1420-1490 is where a vectorized erfc flushes the subnormal tail to 0
+    grid = np.concatenate([[-3.0, 0.0], np.random.default_rng(8).uniform(0, 1500, 398)]).reshape(20, 20)
+    prob = probability_map(HeatMap(grid, 32, 16))
+    assert np.array_equal(prob.grid, [[p_value(v, 32 * 32) for v in row] for row in grid])
+
+
 def test_render_constant_half_is_128(tmp_path):
     hm = HeatMap(np.full((5, 4), 0.5), 32, 16)
     path = tmp_path / "map.pgm"
@@ -148,3 +156,5 @@ def test_localization_demo_script_runs(tmp_path):
     outputs = ("spliced.pgm", "probability_map.json", "probability_map.pgm", "probability_map_median3.pgm")
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0
+    inside, whole = re.search(r"mean probability inside ([\d.]+), whole map ([\d.]+)", proc.stdout).groups()
+    assert float(inside) > float(whole), proc.stdout
