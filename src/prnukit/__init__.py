@@ -16,7 +16,6 @@ from .fingerprint import (
     whiten_plane,
 )
 from .imaging import (
-    crop,
     load_image,
     save_image,
     to_luminance,
@@ -64,7 +63,6 @@ __all__ = [
     "apply_denoiser",
     "capture",
     "clean_fingerprint",
-    "crop",
     "cross_correlate",
     "develop",
     "estimate_fingerprint",

@@ -4,7 +4,8 @@ Known keys are the dataclass fields; an unknown key raises ValueError with
 its dotted path (``pipelines[2].tone.gama``). An absent key keeps the field
 default, as does ``null`` except on an ``Optional`` field, where it means
 None. Values convert by the annotated type: dataclasses recurse, tuples need
-JSON lists, numbers may be JSON strings, an int takes no fraction. A class
+JSON lists, numbers may be JSON strings, an int takes no fraction, a float
+must be finite (``"nan"``, ``"inf"`` and the ``NaN`` literal fail). A class
 with a ``KIND_PARAM`` table (kind -> field) is written as its kind plus the
 one parameter that kind uses, and knows no other parameter key.
 ``check_id`` is the rule for ids that name dataset directories.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 
@@ -84,9 +86,13 @@ def _value_from_json(tp, value, path: str):
     truncated = tp is int and isinstance(value, float) and not value.is_integer()
     if isinstance(value, str) or (number and tp is not str and not truncated):
         try:
-            return tp(value)
+            converted = tp(value)
         except (ValueError, OverflowError):
             pass
+        else:
+            if tp is not float or math.isfinite(converted):
+                return converted
+            raise ValueError(f"{path}: expected a finite number, got {value!r}")
     raise ValueError(f"{path}: expected {tp.__name__}, got {value!r}")
 
 

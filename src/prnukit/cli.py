@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
+import math
 import sys
 from pathlib import Path
 
@@ -40,7 +41,10 @@ def _parse_denoiser(text: str) -> DenoiserSpec:
 def _parse_saturation(text: str):
     if text.lower() == "none":
         return None
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number or 'none'")
+    return value
 
 
 def cmd_estimate(args) -> int:

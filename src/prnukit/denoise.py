@@ -22,6 +22,7 @@ from .imaging import as_plane
 # The "sigma = 3 on the 8-bit scale" convention, in normalized-intensity units.
 DEFAULT_NOISE_VARIANCE = (3.0 / 255.0) ** 2
 
+_LEVELS = 4
 _WINDOW_SIZES = (3, 5, 7, 9)
 _MIN_SIZE = 16
 
@@ -68,9 +69,7 @@ def _shrink(coeff: np.ndarray, noise_variance: float) -> np.ndarray:
     return coeff * (s2 / (s2 + noise_variance))
 
 
-def wavelet_denoise(
-    plane, noise_variance: float = DEFAULT_NOISE_VARIANCE, levels: int = 4
-) -> np.ndarray:
+def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np.ndarray:
     """Wavelet-domain Wiener denoiser. Requires both dimensions >= 16."""
     p = as_plane(plane)
     if noise_variance <= 0:
@@ -80,7 +79,7 @@ def wavelet_denoise(
             f"plane {p.shape[1]}x{p.shape[0]} smaller than minimum "
             f"decomposition size {_MIN_SIZE}"
         )
-    approx, details, shapes = wavelets.decompose(p, levels)
+    approx, details, shapes = wavelets.decompose(p, _LEVELS)
     shrunk = [
         tuple(_shrink(band, noise_variance) for band in level) for level in details
     ]

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import os
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -40,7 +41,7 @@ from .fingerprint import (
 )
 from .imaging import load_image, save_image, to_luminance
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop, synth_scene, synth_sensor
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, PceScore, align, match_windows, ncc
+from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows, ncc
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -278,7 +279,7 @@ class FingerprintSet:
 
 def estimate_fingerprint_sets(
     manifest: DatasetManifest,
-    denoiser: Optional[DenoiserSpec] = None,
+    denoiser: DenoiserSpec = DenoiserSpec(),
     saturation_threshold: Optional[float] = SATURATION_THRESHOLD,
 ) -> dict:
     """Per (camera, pipeline id): full and half-split fingerprints.
@@ -287,8 +288,6 @@ def estimate_fingerprint_sets(
     added to the full estimate and to one half; halves interleave even/odd
     estimation indices so both see the same scene mix.
     """
-    if denoiser is None:
-        denoiser = DenoiserSpec()
     keys = [(cam, pid) for cam in manifest.cameras for pid in manifest.pipeline_ids]
     units = [(cam, pid, manifest.image_paths(cam, pid, "estimation")) for cam, pid in keys]
     return dict(zip(keys, _ordered_map(partial(_estimate_set, denoiser, saturation_threshold), units)))
@@ -446,8 +445,7 @@ def pce_sweep(
     fingerprints: dict,
     estimation_pipeline: str,
     patch_sizes=DEFAULT_PATCH_SIZES,
-    denoiser: Optional[DenoiserSpec] = None,
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
+    denoiser: DenoiserSpec = DenoiserSpec(),
 ):
     """PCE of every non-overlapping patch of every test image against the
     estimation-pipeline fingerprint of every camera.
@@ -456,8 +454,6 @@ def pce_sweep(
     estimation pipeline's entries are used. Patch sizes that do not fit the
     common image/fingerprint area are skipped.
     """
-    if denoiser is None:
-        denoiser = DenoiserSpec()
     for cam in manifest.cameras:
         if (cam, estimation_pipeline) not in fingerprints:
             raise KeyError(
@@ -470,7 +466,6 @@ def pce_sweep(
         estimation_pipeline,
         patch_sizes,
         denoiser,
-        exclusion_radius,
     )
     units = [
         (cam_test, pid, manifest.image_paths(cam_test, pid, "test"))
@@ -480,7 +475,7 @@ def pce_sweep(
     return [rec for records in _ordered_map(sweep, units) for rec in records]
 
 
-def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser, exclusion_radius, unit):
+def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser, unit):
     """ScoreRecords of one (test camera, pipeline id, test paths) unit.
 
     ``fingerprints`` maps camera -> estimation-pipeline Fingerprint, in
@@ -498,7 +493,7 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
             for size in patch_sizes:
                 if size > min(cimg.shape):
                     continue
-                for origin, score in match_windows(cimg, cres, fp, size, exclusion_radius=exclusion_radius):
+                for origin, score in match_windows(cimg, cres, fp, size):
                     records.append(
                         ScoreRecord.from_score(
                             score,
@@ -555,76 +550,62 @@ def tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
 
 
 def _detection_groups(records, estimation_pipeline: str):
-    """Yield (patch_size, group, pos, neg) PCE lists for every reported ROC.
+    """Yield (patch_size, group, n_pos, n_neg, RocCurve) for every reported ROC.
 
     ``group`` is "same" (test pipeline is the estimation pipeline) or
     "cross"; groups lacking positives or negatives are skipped.
     """
-    for size in sorted({r.patch_size for r in records}):
-        neg = [r.pce for r in records if r.label == "negative" and r.patch_size == size]
+    pos, neg = defaultdict(list), defaultdict(list)
+    for r in records:
+        if r.label == "negative":
+            neg[r.patch_size].append(r.pce)
+        elif r.label == "positive":
+            pos[r.patch_size, "same" if r.pipeline_test == estimation_pipeline else "cross"].append(r.pce)
+    for size in sorted(neg):
         for group in ("same", "cross"):
-            pos = [
-                r.pce
-                for r in records
-                if r.label == "positive"
-                and r.patch_size == size
-                and ((r.pipeline_test == estimation_pipeline) == (group == "same"))
-            ]
-            if pos and neg:
-                yield size, group, pos, neg
+            if pos[size, group]:
+                yield size, group, len(pos[size, group]), len(neg[size]), roc(pos[size, group], neg[size])
 
 
-def summarize(
-    records,
-    estimation_pipeline: str,
-    target_fpr: float = DEFAULT_TARGET_FPR,
-) -> dict:
+def summarize(records, estimation_pipeline: str) -> dict:
     """Aggregate sweep records into per-pipeline medians and detection metrics.
 
     Negatives are pooled across test pipelines: the null is "different
     sensor", whatever pipeline developed the test image.
     """
     records = list(records)
-    sizes = sorted({r.patch_size for r in records})
-    pipeline_ids = sorted({r.pipeline_test for r in records})
+    positives = defaultdict(list)  # (pipeline_test, patch_size) -> PCE list
+    for r in records:
+        if r.label == "positive":
+            positives[r.pipeline_test, r.patch_size].append(r.pce)
     per_pipeline = []
-    for pid in pipeline_ids:
-        for size in sizes:
-            scores = [
-                r.pce
-                for r in records
-                if r.label == "positive" and r.pipeline_test == pid and r.patch_size == size
-            ]
-            if not scores:
-                continue
-            arr = np.asarray(scores)
-            per_pipeline.append(
-                {
-                    "pipeline_est": estimation_pipeline,
-                    "pipeline_test": pid,
-                    "patch_size": size,
-                    "n": int(arr.size),
-                    "median": float(np.median(arr)),
-                    "q25": float(np.percentile(arr, 25)),
-                    "q75": float(np.percentile(arr, 75)),
-                }
-            )
-    detection = []
-    for size, group, pos, neg in _detection_groups(records, estimation_pipeline):
-        curve = roc(pos, neg)
-        detection.append(
+    for (pid, size), scores in sorted(positives.items()):
+        arr = np.asarray(scores)
+        per_pipeline.append(
             {
+                "pipeline_est": estimation_pipeline,
+                "pipeline_test": pid,
                 "patch_size": size,
-                "group": group,
-                "n_pos": len(pos),
-                "n_neg": len(neg),
-                "auc": curve.auc,
-                "tpr_at_target": tpr_at_fpr(curve, target_fpr),
+                "n": int(arr.size),
+                "median": float(np.median(arr)),
+                "q25": float(np.percentile(arr, 25)),
+                "q75": float(np.percentile(arr, 75)),
             }
         )
+    detection = [
+        {
+            "patch_size": size,
+            "group": group,
+            "n_pos": n_pos,
+            "n_neg": n_neg,
+            "auc": curve.auc,
+            "tpr_at_target": tpr_at_fpr(curve, DEFAULT_TARGET_FPR),
+        }
+        for size, group, n_pos, n_neg, curve in _detection_groups(records, estimation_pipeline)
+    ]
     return {
         "estimation_pipeline": estimation_pipeline,
-        "target_fpr": target_fpr,
+        "target_fpr": DEFAULT_TARGET_FPR,
         "per_pipeline": per_pipeline,
         "detection": detection,
     }
@@ -647,32 +628,31 @@ def _write_csv(path, header, rows) -> None:
 def report(
     out_dir,
     manifest: DatasetManifest,
-    matrix: Optional[CorrelationMatrix],
+    matrix: CorrelationMatrix,
     records,
     summary: dict,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig,
 ) -> None:
     """Emit the CSV/JSON report tree (deterministic bytes for a fixed seed)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if matrix is not None:
-        _write_csv(
-            out / "correlation.csv",
-            [""] + matrix.ids,
-            [[matrix.ids[i]] + list(matrix.ncc[i]) for i in range(len(matrix.ids))],
-        )
-        shift_rows = []
-        for i in range(len(matrix.ids)):
-            for j in range(len(matrix.ids)):
-                if i == j:
-                    continue
-                dx, dy = matrix.shifts[i, j]
-                shift_rows.append([matrix.ids[i], matrix.ids[j], int(dx), int(dy)])
-        _write_csv(
-            out / "alignment_shifts.csv",
-            ["pipeline_a", "pipeline_b", "dx", "dy"],
-            shift_rows,
-        )
+    _write_csv(
+        out / "correlation.csv",
+        [""] + matrix.ids,
+        [[matrix.ids[i]] + list(matrix.ncc[i]) for i in range(len(matrix.ids))],
+    )
+    shift_rows = []
+    for i in range(len(matrix.ids)):
+        for j in range(len(matrix.ids)):
+            if i == j:
+                continue
+            dx, dy = matrix.shifts[i, j]
+            shift_rows.append([matrix.ids[i], matrix.ids[j], int(dx), int(dy)])
+    _write_csv(
+        out / "alignment_shifts.csv",
+        ["pipeline_a", "pipeline_b", "dx", "dy"],
+        shift_rows,
+    )
     _write_csv(
         out / "pce_summary.csv",
         ["pipeline_est", "pipeline_test", "patch_size", "n", "median", "q25", "q75"],
@@ -681,12 +661,12 @@ def report(
             for e in summary["per_pipeline"]
         ],
     )
-    roc_rows = []
     records = list(records)
-    for size, group, pos, neg in _detection_groups(records, summary["estimation_pipeline"]):
-        curve = roc(pos, neg)
-        for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
-            roc_rows.append([group, size, t, f, tp])
+    roc_rows = [
+        [group, size, t, f, tp]
+        for size, group, _, _, curve in _detection_groups(records, summary["estimation_pipeline"])
+        for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
+    ]
     _write_csv(out / "roc_points.csv", ["group", "patch_size", "threshold", "fpr", "tpr"], roc_rows)
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     write_score_records(records, out / "score_records.jsonl")
@@ -694,7 +674,7 @@ def report(
         "package_version": _package_version,
         "seed": manifest.seed,
         "manifest_sha256": manifest.sha256(),
-        "config": config.to_json() if config is not None else None,
+        "config": config.to_json(),
     }
     (out / "run_metadata.json").write_text(json.dumps(metadata, sort_keys=True, indent=2) + "\n")
 

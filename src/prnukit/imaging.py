@@ -1,11 +1,12 @@
-"""Image planes, file I/O, luminance conversion, cropping and window tiling.
+"""Image planes, file I/O, luminance conversion and window tiling.
 
 A plane is a plain 2-D float64 array with intensities nominally in [0, 1];
 a color image is an (H, W, 3) array. All operations here are pure and never
 mutate their inputs, so arrays can be shared freely across workers.
 
 Supported file formats: binary PGM (P5) and PPM (P6) with 8-bit or 16-bit
-big-endian samples, plus PNG when Pillow is installed.
+big-endian samples, plus PNG when Pillow is installed (8-bit planes only
+on output).
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ def load_image(path) -> np.ndarray:
 
 
 def save_image(img, path, bit_depth: int = 16) -> None:
-    """Write a plane as PGM or an (H, W, 3) image as PPM (binary, big-endian)."""
+    """Write a plane as PGM or an (H, W, 3) image as PPM (binary, big-endian).
+
+    A ``.png`` path takes an 8-bit plane and needs Pillow.
+    """
     a = np.asarray(img, dtype=np.float64)
     if a.ndim == 2:
         magic = b"P5"
@@ -120,29 +124,18 @@ def save_image(img, path, bit_depth: int = 16) -> None:
     h, w = a.shape[:2]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n" + f"{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(q.astype(dtype).tobytes())
-
-
-def save_gray_u8(arr_u8: np.ndarray, path) -> None:
-    """Write an already-quantized uint8 grid as 8-bit PGM or PNG."""
-    a = np.ascontiguousarray(arr_u8, dtype=np.uint8)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D grid, got shape {a.shape}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix.lower() == ".png":
+        if magic != b"P5" or bit_depth != 8:
+            raise FormatError(f"{path}: PNG output takes an 8-bit plane")
         try:
             from PIL import Image
         except ImportError:
             raise FormatError(f"{path}: PNG support requires Pillow") from None
-        Image.fromarray(a, mode="L").save(path)
+        Image.fromarray(q.astype(dtype)).save(path)
         return
-    h, w = a.shape
     with open(path, "wb") as fh:
-        fh.write(b"P5\n" + f"{w} {h}\n255\n".encode("ascii"))
-        fh.write(a.tobytes())
+        fh.write(magic + b"\n" + f"{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(q.astype(dtype).tobytes())
 
 
 def to_luminance(img) -> np.ndarray:
@@ -174,14 +167,3 @@ def window_origins(shape, size: int, stride: int | None = None) -> list:
     if size > min(h, w):
         raise ValueError(f"window size {size} larger than image {w}x{h}")
     return [(x, y) for y in range(0, h - size + 1, stride) for x in range(0, w - size + 1, stride)]
-
-
-def crop(plane, x0: int, y0: int, w: int, h: int) -> np.ndarray:
-    """Return a copy of the w x h sub-rectangle whose top-left corner is (x0, y0)."""
-    p = as_plane(plane)
-    ph, pw = p.shape
-    if x0 < 0 or y0 < 0 or w < 1 or h < 1 or x0 + w > pw or y0 + h > ph:
-        raise ValueError(
-            f"crop rectangle ({x0},{y0},{w},{h}) out of bounds for {pw}x{ph} plane"
-        )
-    return p[y0 : y0 + h, x0 : x0 + w].copy()

@@ -24,8 +24,6 @@ from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
 from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane
 
-DEMOSAIC_KINDS = ("bilinear", "edge_directed", "nearest")
-
 # Symmetric, so correlating with them is convolving.
 _K_RB = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]])
 _K_G = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
@@ -181,8 +179,6 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     spec = sensor.spec
     if (w, h) != (spec.width, spec.height):
         raise ShapeError(f"scene {w}x{h} does not match sensor {spec.width}x{spec.height}")
-    if h % 2 or w % 2:
-        raise ShapeError("mosaic requires even dimensions")
     rmask, _, bmask = _bayer_masks((h, w))
     bayer = np.where(rmask, sc[:, :, 0], np.where(bmask, sc[:, :, 2], sc[:, :, 1]))
     signal = bayer * (1.0 + sensor.prnu)
@@ -248,6 +244,7 @@ _DEMOSAICERS = {
     "edge_directed": _demosaic_edge,
     "nearest": _demosaic_nearest,
 }
+DEMOSAIC_KINDS = tuple(_DEMOSAICERS)
 
 
 def develop(raw, config: PipelineConfig) -> np.ndarray:
@@ -262,11 +259,7 @@ def develop(raw, config: PipelineConfig) -> np.ndarray:
         raise ShapeError("mosaiced plane must have even dimensions")
     if not np.isfinite(p).all():
         raise DegenerateInputError("mosaiced plane has non-finite samples")
-    try:
-        demosaic = _DEMOSAICERS[config.demosaic]
-    except KeyError:
-        raise ValueError(f"unknown demosaic {config.demosaic!r}") from None
-    rgb = demosaic(p)
+    rgb = _DEMOSAICERS[config.demosaic](p)
     r_gain, b_gain = config.white_balance
     rgb[:, :, 0] *= r_gain
     rgb[:, :, 2] *= b_gain

@@ -17,7 +17,7 @@ from scipy.ndimage import median_filter
 from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
-from .imaging import as_plane, save_gray_u8, window_origins
+from .imaging import as_plane, save_image, window_origins
 from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows, p_value
 
 DEFAULT_WINDOW = 128
@@ -49,7 +49,7 @@ def pce_map(
     fp: Fingerprint,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
-    denoiser: DenoiserSpec | None = None,
+    denoiser: DenoiserSpec = DenoiserSpec(),
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ) -> HeatMap:
     """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region."""
@@ -59,8 +59,6 @@ def pce_map(
             f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
         )
     window_origins(img.shape, window, stride)  # reject a bad geometry before the residual
-    if denoiser is None:
-        denoiser = DenoiserSpec()
     res = residual(img, denoiser)
     scores = match_windows(img, res, fp, window, stride, exclusion_radius, peak=(0, 0))
     cols = sum(1 for (x, y), _ in scores if y == 0)  # windows in the first row
@@ -90,8 +88,8 @@ def render_map(hmap: HeatMap, path, postprocess: str = "none") -> None:
     g = hmap.grid
     if postprocess == "median3":
         g = median_filter(g, size=3, mode="nearest")
-    q = np.floor(np.clip(g, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    save_gray_u8(q, path)
+    q = np.floor(np.clip(g, 0.0, 1.0) * 255.0 + 0.5)
+    save_image(q / 255.0, path, bit_depth=8)  # q / 255 * 255 rounds back to q
 
 
 def save_map_json(hmap: HeatMap, path) -> None:

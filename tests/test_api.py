@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import prnukit
 import prnukit.matching
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -22,3 +25,29 @@ def test_cli_import_leaves_out_scipy_signal():
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import prnukit.cli, sys; assert 'scipy.signal' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
+def _names_used(path):
+    """Every Name, Attribute, import alias and string constant in one source file."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # The package's own modules, the scripts and the benchmark, but not __init__
+    # (which only re-exports) and not any test suite. String constants count:
+    # the benchmark's tracer names the functions it wraps as strings.
+    files = [p for p in (ROOT / "src" / "prnukit").rglob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "scripts").rglob("*.py"))
+    files += [p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT / "perfbench").parts]
+    used = set().union(*map(_names_used, files))
+    assert [name for name in prnukit.__all__ if name not in used] == []

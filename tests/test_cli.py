@@ -83,6 +83,19 @@ def test_estimate_zero_matches_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
+    save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
+    argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
+    assert build_parser().parse_args([*argv, "--saturation-threshold", "none"]).saturation_threshold is None
+    assert build_parser().parse_args([*argv, "--saturation-threshold", "0.9"]).saturation_threshold == 0.9
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--saturation-threshold", value])
+    assert exc.value.code == 2
+    assert "--saturation-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "x.fp").exists()
+
+
 def test_estimate_mixed_dims_is_domain_error(tmp_path, capsys):
     save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
     save_image(np.full((32, 64), 0.5), tmp_path / "b.pgm")
@@ -309,6 +322,17 @@ _MALFORMED = {
     "sensor: strength must be in (0, 0.1], got 0.2": lambda c: c["sensor"].update(strength=0.2),
     "sensor: read_noise_std must be finite and >= 0, got -0.5": lambda c: c["sensor"].update(read_noise_std=-0.5),
     "sensor: shot_noise_scale must be finite and >= 0, got -1.0": lambda c: c["sensor"].update(shot_noise_scale=-1),
+    # non-finite numbers fail when the config loads, as JSON strings or as the NaN literal
+    "pipelines[0].white_balance[0]: expected a finite number, got 'nan'":
+        lambda c: c["pipelines"][0].update(white_balance=["nan", 1]),
+    "pipelines[0].white_balance[0]: expected a finite number, got 'inf'":
+        lambda c: c["pipelines"][0].update(white_balance=["inf", 1]),
+    "pipelines[0].white_balance[0]: expected a finite number, got nan":
+        lambda c: c["pipelines"][0].update(white_balance=[float("nan"), 1]),
+    "pipelines[0].tone.gamma: expected a finite number, got 'nan'": lambda c: c["pipelines"][0]["tone"].update(gamma="nan"),
+    "pipelines[0].sharpen: expected a finite number, got 'nan'": lambda c: c["pipelines"][0].update(sharpen="nan"),
+    "saturation_threshold: expected a finite number, got 'nan'": lambda c: c.update(saturation_threshold="nan"),
+    "denoiser.noise_variance: expected a finite number, got 'nan'": lambda c: c["denoiser"].update(noise_variance="nan"),
 }
 
 

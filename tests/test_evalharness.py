@@ -17,6 +17,7 @@ from prnukit.denoise import wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
 from prnukit.evalharness import (
+    CorrelationMatrix,
     DatasetManifest,
     ExperimentConfig,
     build_dataset,
@@ -158,7 +159,7 @@ def test_pce_sweep_record_count(tmp_path):
     manifest = build_dataset(cfg, tmp_path / "ds")
     sets = estimate_fingerprint_sets(manifest, cfg.denoiser)
     fps = {k: s.full for k, s in sets.items()}
-    records = pce_sweep(manifest, fps, "p_a", (32, 16), cfg.denoiser, exclusion_radius=3)
+    records = pce_sweep(manifest, fps, "p_a", (32, 16), cfg.denoiser)
     for pid in ("p_a", "p_b"):
         for size in (32, 16):
             count = sum(
@@ -285,9 +286,12 @@ def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_confi
 
 def test_report_rerun_byte_identical(tmp_path, patch_manifest, patch_records, patch_config):
     summary = summarize(patch_records, patch_config.estimation_pipeline)
-    report(tmp_path / "r1", patch_manifest, None, patch_records, summary, patch_config)
-    report(tmp_path / "r2", patch_manifest, None, patch_records, summary, patch_config)
-    for name in ("pce_summary.csv", "roc_points.csv", "summary.json", "run_metadata.json", "score_records.jsonl"):
+    matrix = CorrelationMatrix(["a", "b"], np.array([[1.0, 0.25], [0.25, 1.0]]), np.zeros((2, 2, 2), dtype=np.int64))
+    report(tmp_path / "r1", patch_manifest, matrix, patch_records, summary, patch_config)
+    report(tmp_path / "r2", patch_manifest, matrix, patch_records, summary, patch_config)
+    names = ("correlation.csv", "alignment_shifts.csv", "pce_summary.csv", "roc_points.csv",
+             "summary.json", "run_metadata.json", "score_records.jsonl")
+    for name in names:
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from prnukit.errors import FormatError, ShapeError
 from prnukit.imaging import (
-    crop,
+    as_plane,
     load_image,
     save_image,
     to_luminance,
@@ -84,6 +84,15 @@ def test_png_16bit_load(tmp_path):
     plane = load_image(path)
     assert plane[1, 0] == 1.0
     assert abs(plane[0, 1] - 32768 / 65535) < 1e-12
+
+
+def test_png_save_takes_8bit_planes_only(tmp_path):
+    # checked before Pillow is imported, so these fail the same way with or without it
+    with pytest.raises(FormatError, match="8-bit plane"):
+        save_image(np.zeros((4, 4)), tmp_path / "x.png")  # 16-bit by default
+    with pytest.raises(FormatError, match="8-bit plane"):
+        save_image(np.zeros((4, 4, 3)), tmp_path / "x.png", bit_depth=8)
+    assert not (tmp_path / "x.png").exists()
 
 
 def test_luminance_weights():
@@ -185,29 +194,8 @@ def test_tile_partition_property(h, w, size, stride):
         assert seen.sum() == covered.size
 
 
-def test_crop_identity_and_indexing():
-    ramp = np.arange(9, dtype=float).reshape(3, 3)
-    assert np.array_equal(crop(ramp, 0, 0, 3, 3), ramp)
-    assert np.array_equal(crop(ramp, 1, 1, 2, 2), np.array([[4.0, 5.0], [7.0, 8.0]]))
-
-
-def test_crop_shift_consistency():
-    rng = np.random.default_rng(5)
-    plane = rng.random((12, 14))
-    dx, dy, w, h = 3, 2, 6, 7
-    shifted = np.roll(np.roll(plane, dy, axis=0), dx, axis=1)
-    assert np.array_equal(crop(shifted, dx, dy, w, h), crop(plane, 0, 0, w, h))
-
-
-def test_crop_bounds():
-    plane = np.zeros((4, 4))
-    for args in [(-1, 0, 2, 2), (0, 0, 5, 2), (3, 3, 2, 2), (0, 0, 0, 1)]:
-        with pytest.raises(ValueError):
-            crop(plane, *args)
-
-
 def test_as_plane_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         to_luminance(np.zeros((2, 2, 4)))
     with pytest.raises(ShapeError):
-        crop(np.zeros(5), 0, 0, 1, 1)
+        as_plane(np.zeros(5))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prnukit.denoise import DenoiserSpec
-from prnukit.errors import DegenerateInputError, ShapeError
+from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, residual
 from prnukit.imaging import load_image, window_origins
 from prnukit.localization import (
@@ -127,6 +127,20 @@ def test_render_quantization_roundtrip(tmp_path):
     render_map(HeatMap(grid, 32, 16), path)
     img = load_image(path)
     assert np.abs(img - grid).max() <= (1.0 / 255.0) / 2 + 1e-12
+
+
+def test_render_png_matches_pgm(tmp_path):
+    hm = HeatMap(np.random.default_rng(9).random((5, 7)), 32, 16)
+    try:
+        import PIL  # noqa: F401
+    except ImportError:
+        with pytest.raises(FormatError, match="Pillow"):
+            render_map(hm, tmp_path / "m.png")
+        assert list(tmp_path.iterdir()) == []
+        return
+    render_map(hm, tmp_path / "m.png")
+    render_map(hm, tmp_path / "m.pgm")
+    assert np.array_equal(load_image(tmp_path / "m.png"), load_image(tmp_path / "m.pgm"))
 
 
 def test_render_rejects_unknown_postprocess(tmp_path):
