@@ -9,9 +9,13 @@ from __future__ import annotations
 import argparse
 import glob as globlib
 import math
+import os
 import sys
+from contextlib import closing
+from functools import partial
 from pathlib import Path
 
+from . import _pool
 from .denoise import DenoiserSpec
 from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation
 from .fingerprint import (
@@ -47,18 +51,24 @@ def _parse_saturation(text: str):
     return value
 
 
+def _load_residual(denoiser: DenoiserSpec, path: str):
+    im = to_luminance(load_image(path))
+    return im, residual(im, denoiser)
+
+
 def cmd_estimate(args) -> int:
-    paths = sorted(p for pattern in args.images for p in globlib.glob(pattern))
+    # Each file once, in sorted order: the sums, and so the file's bytes, depend on that order.
+    paths = sorted({os.path.normpath(p) for pattern in args.images for p in globlib.glob(pattern)})
     if not paths:
         print(f"error: no files match {args.images}", file=sys.stderr)
         return 2
     acc = FingerprintAccumulator(args.saturation_threshold)
-    for p in paths:
-        im = to_luminance(load_image(p))
-        try:
-            acc.add(im, residual(im, args.denoiser))
-        except ShapeError as exc:
-            raise ShapeError(f"{p}: {exc}") from None
+    with closing(_pool.ordered_map(partial(_load_residual, args.denoiser), paths)) as pairs:
+        for p, (im, res) in zip(paths, pairs):
+            try:
+                acc.add(im, res)
+            except ShapeError as exc:
+                raise ShapeError(f"{p}: {exc}") from None
     fp = acc.finish(camera_id=args.camera, pipeline_id=args.pipeline)
     fp = clean_fingerprint(fp, whiten=args.whiten)
     save_fingerprint(fp, args.out)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -28,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__ as _package_version
-from . import _config
+from . import _config, _pool
 from .denoise import DenoiserSpec
 from .errors import FormatError, ShapeError
 from .fingerprint import (
@@ -58,57 +57,6 @@ _STREAM_CAPTURE = 2
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts."""
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, np.uint64)[0])
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS, Windows): run serially
-        return 1
-
-
-def _keep_worker_heap() -> None:
-    """Pool initializer: workers keep freed heap pages instead of returning them.
-
-    Setting either glibc threshold turns off the dynamic rule that trims each
-    residual's freed temporaries, so both are set. It must not raise: a raising
-    initializer breaks the pool.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc (TypeError: Windows)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling for its dynamic value
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's own rule sets it
-
-
-def _ordered_map(fn, units) -> list:
-    """``list(map(fn, units))`` over one forked process per usable core.
-
-    Results come back in submission order, so callers merge them exactly as
-    the serial loop would; with one core (or one unit) nothing is forked.
-    The first unit to raise, in submission order, cancels the pending units
-    and its exception propagates as the serial loop would raise it.
-    """
-    workers = min(_usable_cores(), len(units))
-    if workers <= 1:
-        return list(map(fn, units))
-    # Imported here so that commands which never fork do not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: workers share the imported numpy/scipy instead of
-    # re-importing them per pool, and callers need no __main__ guard. The
-    # executor forks every worker before it starts its own manager thread.
-    fork = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_keep_worker_heap)
-    try:
-        return list(pool.map(fn, units))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -216,7 +164,7 @@ def build_dataset(config: ExperimentConfig, out_dir) -> DatasetManifest:
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    built = _ordered_map(partial(_build_camera, config, root), range(len(config.cameras)))
+    built = list(_pool.ordered_map(partial(_build_camera, config, root), range(len(config.cameras))))
     config_json = config.to_json()
     data = {key: config_json[key] for key in ("seed", "sensor", "cameras", "pipelines", "n_estimation", "n_test")}
     images, capture_ids, groundtruth = (dict(zip(config.cameras, column)) for column in zip(*built))
@@ -290,7 +238,8 @@ def estimate_fingerprint_sets(
     """
     keys = [(cam, pid) for cam in manifest.cameras for pid in manifest.pipeline_ids]
     units = [(cam, pid, manifest.image_paths(cam, pid, "estimation")) for cam, pid in keys]
-    return dict(zip(keys, _ordered_map(partial(_estimate_set, denoiser, saturation_threshold), units)))
+    sets = _pool.ordered_map(partial(_estimate_set, denoiser, saturation_threshold), units)
+    return dict(zip(keys, list(sets)))
 
 
 def _estimate_set(denoiser: DenoiserSpec, saturation_threshold: Optional[float], unit) -> FingerprintSet:
@@ -472,7 +421,7 @@ def pce_sweep(
         for cam_test in manifest.cameras
         for pid in manifest.pipeline_ids
     ]
-    return [rec for records in _ordered_map(sweep, units) for rec in records]
+    return [rec for records in _pool.ordered_map(sweep, units) for rec in records]
 
 
 def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser, unit):

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import median_filter
 
+from . import _pool
 from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_image, window_origins
-from .matching import DEFAULT_EXCLUSION_RADIUS, match_windows, p_value
+from .matching import DEFAULT_EXCLUSION_RADIUS, match_patch, p_value
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -52,18 +54,31 @@ def pce_map(
     denoiser: DenoiserSpec = DenoiserSpec(),
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ) -> HeatMap:
-    """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region."""
+    """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region.
+
+    The residual is computed once; the windows are split into one contiguous
+    row-major chunk per usable core and scored in parallel.
+    """
     img = as_plane(image)
     if img.shape != fp.plane.shape:
         raise ShapeError(
             f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
         )
-    window_origins(img.shape, window, stride)  # reject a bad geometry before the residual
+    origins = window_origins(img.shape, window, stride)  # rejects a bad geometry before the residual
     res = residual(img, denoiser)
-    scores = match_windows(img, res, fp, window, stride, exclusion_radius, peak=(0, 0))
-    cols = sum(1 for (x, y), _ in scores if y == 0)  # windows in the first row
-    grid = np.array([score.pce for _, score in scores]).reshape(-1, cols)
-    return HeatMap(grid, window, stride)
+    score = partial(_window_pces, img, res, fp, window, exclusion_radius)
+    pces = [v for chunk in _pool.ordered_map(score, _pool.split(origins)) for v in chunk]
+    cols = sum(1 for x, y in origins if y == 0)  # windows in the first row
+    return HeatMap(np.array(pces).reshape(-1, cols), window, stride)
+
+
+def _window_pces(img, res, fp: Fingerprint, window: int, exclusion_radius: int, origins) -> list:
+    """Zero-shift PCE of each ``window``-sized window at ``origins``."""
+    pces = []
+    for x, y in origins:
+        win = (slice(y, y + window), slice(x, x + window))
+        pces.append(match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak=(0, 0)).pce)
+    return pces
 
 
 def probability_map(pmap: HeatMap) -> HeatMap:

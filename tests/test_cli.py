@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prnukit import cli, evalharness, localization
+from prnukit import _pool, cli, localization
 from prnukit.cli import build_parser, main
 from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
@@ -14,6 +14,7 @@ from prnukit.fingerprint import Fingerprint, load_fingerprint, save_fingerprint
 from prnukit.imaging import save_image
 from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve, capture, synth_scene, synth_sensor
 from prnukit.localization import load_map_json
+from test_evalharness import _pin_cores
 
 
 @pytest.fixture()
@@ -29,25 +30,31 @@ def flat_captures(tmp_path):
     return sensor, paths
 
 
-def test_estimate_sixty_images(tmp_path, flat_captures, capsys):
+def test_estimate_sixty_images(tmp_path, flat_captures, capsys, monkeypatch):
     _, paths = flat_captures
-    out = tmp_path / "cam.fp"
-    rc = main(
-        [
-            "estimate",
-            "--images",
-            str(tmp_path / "img_*.pgm"),
-            "--out",
-            str(out),
-            "--camera",
-            "cam0",
-        ]
-    )
-    assert rc == 0
-    fp = load_fingerprint(out)
-    assert fp.n_sources == 60
-    assert fp.plane.shape == (64, 64)
-    assert "60 images" in capsys.readouterr().out
+    fp_bytes = {}
+    for cores in (1, 2):
+        forked = _pin_cores(monkeypatch, cores)
+        out = tmp_path / f"cam{cores}.fp"
+        rc = main(
+            [
+                "estimate",
+                "--images",
+                str(tmp_path / "img_*.pgm"),
+                "--out",
+                str(out),
+                "--camera",
+                "cam0",
+            ]
+        )
+        assert rc == 0
+        assert len(forked) == (0 if cores == 1 else 2)
+        fp = load_fingerprint(out)
+        assert fp.n_sources == 60
+        assert fp.plane.shape == (64, 64)
+        assert "60 images" in capsys.readouterr().out
+        fp_bytes[cores] = out.read_bytes()
+    assert fp_bytes[1] == fp_bytes[2]
 
 
 def test_estimate_single_image(tmp_path, flat_captures):
@@ -58,7 +65,18 @@ def test_estimate_single_image(tmp_path, flat_captures):
     assert load_fingerprint(out).n_sources == 1
 
 
-def test_estimate_memory_does_not_grow_with_image_count(tmp_path):
+def test_estimate_counts_each_image_once(tmp_path, flat_captures, capsys):
+    _, paths = flat_captures
+    once, twice = tmp_path / "once.fp", tmp_path / "twice.fp"
+    pattern = str(tmp_path / "img_00?.pgm")
+    assert main(["estimate", "--images", pattern, "--out", str(once)]) == 0
+    assert main(["estimate", "--images", str(paths[3]), pattern, str(tmp_path / "." / "img_001.pgm"),
+                 "--out", str(twice)]) == 0
+    assert capsys.readouterr().out.count("from 10 images") == 2
+    assert once.read_bytes() == twice.read_bytes()
+
+
+def test_estimate_memory_does_not_grow_with_image_count(tmp_path, monkeypatch):
     sensor = synth_sensor(128, 128, strength=0.02, seed=32)
     scene = synth_scene(128, 128, "flat", level=0.5)
     for i in range(40):
@@ -74,8 +92,10 @@ def test_estimate_memory_does_not_grow_with_image_count(tmp_path):
             tracemalloc.stop()
 
     peak("img_000.pgm")  # warm-up: lazy imports and caches
-    ten, forty = peak("img_00?.pgm"), peak("img_0*.pgm")
-    assert forty <= 1.1 * ten, (ten, forty)
+    for cores in (1, 2):
+        _pin_cores(monkeypatch, cores)
+        ten, forty = peak("img_00?.pgm"), peak("img_0*.pgm")
+        assert forty <= 1.1 * ten, (cores, ten, forty)
 
 
 def test_estimate_zero_matches_is_usage_error(tmp_path):
@@ -102,6 +122,25 @@ def test_estimate_mixed_dims_is_domain_error(tmp_path, capsys):
     rc = main(["estimate", "--images", str(tmp_path / "?.pgm"), "--out", str(tmp_path / "x.fp")])
     assert rc == 1
     assert "shape" in capsys.readouterr().err
+
+
+def test_estimate_truncated_file_reports_the_same_error_at_any_core_count(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(38)
+    paths = [tmp_path / f"img_{i}.ppm" for i in range(6)]
+    for path in paths:
+        save_image(rng.random((64, 64, 3)), path, bit_depth=16)
+    paths[3].write_bytes(paths[3].read_bytes()[:-7])
+    argv = ["estimate", "--images", str(tmp_path / "img_*.ppm"), "--out", str(tmp_path / "x.fp")]
+    errors = {}
+    for cores in (1, 2):
+        _pin_cores(monkeypatch, cores)
+        assert main(argv) == 1
+        errors[cores] = capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+    assert errors[1] == errors[2]
+    assert errors[2].startswith("error: ") and errors[2].count("\n") == 1, errors[2]
+    assert str(paths[3]) in errors[2] and "truncated pixel data" in errors[2]
+    assert not (tmp_path / "x.fp").exists()
 
 
 def test_match_reports_pce(tmp_path, capsys):
@@ -180,34 +219,42 @@ def test_align_recovers_shift(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("shift -2 3,")
 
 
-def test_localize_writes_maps(tmp_path, capsys):
+def test_localize_writes_maps(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(35)
     k = rng.normal(0, 0.02, (128, 128))
     save_fingerprint(Fingerprint(k, "c", "p", 1), tmp_path / "c.fp")
     img = np.clip(0.5 * (1.0 + k) + rng.normal(0, 0.002, k.shape), 0, 1)
     save_image(img, tmp_path / "img.pgm", bit_depth=16)
-    rc = main(
-        [
-            "localize",
-            "--image",
-            str(tmp_path / "img.pgm"),
-            "--fingerprint",
-            str(tmp_path / "c.fp"),
-            "--window",
-            "64",
-            "--stride",
-            "32",
-            "--out-map",
-            str(tmp_path / "map.pgm"),
-            "--json-map",
-            str(tmp_path / "map.json"),
-        ]
-    )
-    assert rc == 0
-    assert (tmp_path / "map.pgm").exists()
-    hm = load_map_json(tmp_path / "map.json")
-    assert hm.shape == (3, 3)
-    assert np.all((hm.grid >= 0) & (hm.grid <= 1))
+    maps = {}
+    for cores in (1, 2):
+        forked = _pin_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        out.mkdir()
+        rc = main(
+            [
+                "localize",
+                "--image",
+                str(tmp_path / "img.pgm"),
+                "--fingerprint",
+                str(tmp_path / "c.fp"),
+                "--window",
+                "64",
+                "--stride",
+                "32",
+                "--out-map",
+                str(out / "map.pgm"),
+                "--json-map",
+                str(out / "map.json"),
+            ]
+        )
+        assert rc == 0
+        # the residual stays in-process; the windows go to one pool of two workers
+        assert len(forked) == (0 if cores == 1 else 2)
+        hm = load_map_json(out / "map.json")
+        assert hm.shape == (3, 3)
+        assert np.all((hm.grid >= 0) & (hm.grid <= 1))
+        maps[cores] = ((out / "map.pgm").read_bytes(), (out / "map.json").read_bytes())
+    assert maps[1] == maps[2]
 
 
 def _never_denoised(*args, **kw):
@@ -294,7 +341,7 @@ def test_evaluate_emits_reports(tmp_path, capsys):
 
 
 def test_evaluate_worker_error_exits_1_without_leftover_children(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(evalharness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
     cfg_path = _tiny_experiment(tmp_path)
     blocker = tmp_path / "run" / "dataset" / "images" / "c1"
     blocker.parent.mkdir(parents=True)

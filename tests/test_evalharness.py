@@ -1,7 +1,7 @@
-import concurrent.futures
 import csv
 import ctypes
 import json
+import multiprocessing
 import os
 import re
 import resource
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prnukit import evalharness
+from prnukit import _pool
 from prnukit.denoise import wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
@@ -296,17 +296,18 @@ def test_report_rerun_byte_identical(tmp_path, patch_manifest, patch_records, pa
 
 
 def _pin_cores(monkeypatch, n):
-    """Run the harness on ``n`` worker processes; returns the list of pool sizes used."""
-    pools = []
+    """Run the package on ``n`` usable cores; returns the worker processes it forks."""
+    forked = []
+    fork = multiprocessing.get_context("fork")
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kw):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kw)
+    class CountingProcess(fork.Process):
+        def start(self):
+            forked.append(self)
+            super().start()
 
-    monkeypatch.setattr(evalharness, "_usable_cores", lambda: n)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return pools
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: n)
+    monkeypatch.setattr(fork, "Process", CountingProcess)
+    return forked
 
 
 def _file_tree(root):
@@ -317,10 +318,10 @@ def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
     cfg = _tiny_config(cameras=("camX", "camY"))
     runs = {}
     for cores in (1, 2):
-        pools = _pin_cores(monkeypatch, cores)
+        forked = _pin_cores(monkeypatch, cores)
         result = run_evaluation(cfg, tmp_path / f"cores{cores}")
-        # build, estimation and sweep each fork a pool only when parallel
-        assert pools == ([] if cores == 1 else [2, 2, 2])
+        # build, estimation and sweep each fork a pool of two only when parallel
+        assert len(forked) == (0 if cores == 1 else 6)
         runs[cores] = (result.manifest.sha256(), _file_tree(tmp_path / f"cores{cores}"))
     assert runs[1][0] == runs[2][0]
     assert runs[1][1].keys() == runs[2][1].keys()
@@ -350,7 +351,7 @@ def _libc_has_mallopt():
 def test_workers_keep_their_heap(monkeypatch):
     # Under glibc's dynamic thresholds each warm call re-faults about 1,250 pages.
     _pin_cores(monkeypatch, 2)
-    faults = evalharness._ordered_map(_denoise_faults, [0, 1])
+    faults = list(_pool.ordered_map(_denoise_faults, [0, 1]))
     assert all(n < 1000 for n in faults), faults
 
 
@@ -358,14 +359,31 @@ def test_heap_setting_runs_only_in_forked_workers(tmp_path, monkeypatch):
     def record():  # a file per calling process, since workers share no memory
         (tmp_path / str(os.getpid())).touch()
 
-    monkeypatch.setattr(evalharness, "_keep_worker_heap", record)
+    monkeypatch.setattr(_pool, "_keep_worker_heap", record)
     for cores in (1, 2):
         _pin_cores(monkeypatch, cores)
-        assert evalharness._ordered_map(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert list(_pool.ordered_map(abs, [-1, -2, -3])) == [1, 2, 3]
         if cores == 1:
             assert list(tmp_path.iterdir()) == []
     callers = {int(p.name) for p in tmp_path.iterdir()}
     assert callers and os.getpid() not in callers
+
+
+def _exit_on_three(n):
+    if n == 3:
+        os._exit(7)  # dies without reporting an error
+    return n
+
+
+def test_pool_stops_its_workers_on_early_close_and_on_a_dead_worker(monkeypatch):
+    _pin_cores(monkeypatch, 2)
+    results = _pool.ordered_map(_exit_on_three, [0, 1, 2, 4, 5, 6])
+    assert next(results) == 0
+    results.close()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError, match="exited with code 7"):
+        list(_pool.ordered_map(_exit_on_three, [0, 1, 2, 3, 4, 5]))
+    assert multiprocessing.active_children() == []
 
 
 def _libc_without_mallopt(name):
@@ -379,7 +397,7 @@ def _no_libc(name):
 @pytest.mark.parametrize("libc", [_libc_without_mallopt, _no_libc], ids=["no-mallopt", "no-libc"])
 def test_parallel_run_without_mallopt_matches_serial(tmp_path, monkeypatch, libc):
     monkeypatch.setattr(ctypes, "CDLL", libc)
-    assert evalharness._keep_worker_heap() is None
+    assert _pool._keep_worker_heap() is None
     cfg = _tiny_config(cameras=("camX", "camY"))
     trees = {}
     for cores in (1, 2):

@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prnukit import _pool
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, residual
@@ -50,6 +52,22 @@ def test_pce_map_matches_formula_and_detects_pattern():
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
         assert hm.grid[i, j] == match_patch(image[win], res[win], fp, (x, y), peak=(0, 0)).pce
+
+
+def _grid(image, k):
+    return pce_map(image, Fingerprint(k), window=32, stride=16, denoiser=DenoiserSpec("gaussian", sigma=1.0)).grid
+
+
+def test_pce_map_in_a_daemonic_worker_runs_serially(monkeypatch):
+    # A daemonic process may not fork: the map must fall back to the in-process loop.
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(4)
+    k = rng.normal(0, 0.02, (96, 96))
+    image = 0.5 * (1.0 + k) + rng.normal(0, 0.002, k.shape)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply_async(_grid, (image, k)).get(timeout=60)
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
+    assert np.array_equal(in_worker, _grid(image, k))
 
 
 def test_pce_map_validation():
