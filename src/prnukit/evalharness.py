@@ -8,9 +8,9 @@ cannot change outputs. Estimation captures are shared across pipelines: each
 raw is exposed once and developed through every pipeline.
 
 Dataset generation, estimation and the PCE sweep split into independent
-units (per camera, per (camera, pipeline), per (test camera, pipeline)) that
-run one process per usable core and are merged in submission order, so the
-report and dataset bytes are the same for any core count.
+units (per camera, per fingerprint the report reads, per (test camera,
+pipeline)) that run one process per usable core and are merged in submission
+order, so the report and dataset bytes are the same for any core count.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ from .fingerprint import (
 )
 from .imaging import load_image, save_image, to_luminance
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop, synth_scene, synth_sensor
-from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows, ncc
+from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
 
-# Scene kind cycles (odd length, so interleaved split halves see every kind).
+# Scene kind cycles. Odd length, so the interleaved (even/odd index) halves of
+# the estimation split both see every kind; tests/conftest.py forms those
+# halves for acceptance criterion 3.
 _EST_MIX = (("flat", 0.4), ("texture", 0.0), ("flat", 0.6), ("gradient", 0.0), ("flat", 0.75))
 _TEST_MIX = (("texture", 0.0), ("gradient", 0.0), ("texture", 0.0), ("flat", 0.5), ("texture", 0.0))
 
@@ -216,46 +218,27 @@ def _build_camera(config: ExperimentConfig, root: Path, cam_idx: int):
     return images, capture_ids, gt_rel
 
 
-@dataclass
-class FingerprintSet:
-    """Full-split fingerprint plus interleaved half-split estimates."""
-
-    full: Fingerprint
-    half_a: Fingerprint
-    half_b: Fingerprint
-
-
 def estimate_fingerprint_sets(
     manifest: DatasetManifest,
+    keys,
     denoiser: DenoiserSpec = DenoiserSpec(),
     saturation_threshold: Optional[float] = SATURATION_THRESHOLD,
 ) -> dict:
-    """Per (camera, pipeline id): full and half-split fingerprints.
-
-    One pass over the estimation images: each residual is computed once and
-    added to the full estimate and to one half; halves interleave even/odd
-    estimation indices so both see the same scene mix.
-    """
-    keys = [(cam, pid) for cam in manifest.cameras for pid in manifest.pipeline_ids]
+    """Fingerprint of each (camera, pipeline id) in ``keys``, from its
+    estimation images; one unit per key, merged in the order of ``keys``."""
     units = [(cam, pid, manifest.image_paths(cam, pid, "estimation")) for cam, pid in keys]
-    sets = _pool.ordered_map(partial(_estimate_set, denoiser, saturation_threshold), units)
-    return dict(zip(keys, list(sets)))
+    fingerprints = _pool.ordered_map(partial(_estimate, denoiser, saturation_threshold), units)
+    return dict(zip(keys, list(fingerprints)))
 
 
-def _estimate_set(denoiser: DenoiserSpec, saturation_threshold: Optional[float], unit) -> FingerprintSet:
-    """FingerprintSet of one (camera, pipeline id, estimation paths) unit."""
+def _estimate(denoiser: DenoiserSpec, saturation_threshold: Optional[float], unit) -> Fingerprint:
+    """Fingerprint of one (camera, pipeline id, estimation paths) unit."""
     cam, pid, paths = unit
-    full = FingerprintAccumulator(saturation_threshold)
-    halves = (
-        FingerprintAccumulator(saturation_threshold),
-        FingerprintAccumulator(saturation_threshold),
-    )
-    for i, path in enumerate(paths):
+    acc = FingerprintAccumulator(saturation_threshold)
+    for path in paths:
         img = to_luminance(load_image(path))
-        res = residual(img, denoiser)
-        full.add(img, res)
-        halves[i % 2].add(img, res)
-    return FingerprintSet(*(clean_fingerprint(acc.finish(cam, pid)) for acc in (full, *halves)))
+        acc.add(img, residual(img, denoiser))
+    return clean_fingerprint(acc.finish(cam, pid))
 
 
 def common_crop_planes(planes):
@@ -294,44 +277,6 @@ def correlation_matrix(fingerprints, max_shift: int = DEFAULT_MAX_SHIFT) -> Corr
             shifts[i, j] = (dx, dy)
             shifts[j, i] = (-dx, -dy)
     return CorrelationMatrix(ids, mat, shifts)
-
-
-@dataclass
-class SplitHalfReport:
-    """Half-vs-half fingerprint correlations, per camera.
-
-    ``same``: (camera, pipeline) -> NCC between the two halves.
-    ``cross_raw``: (camera, pipe_a, pipe_b) -> un-aligned NCC (half A of a
-    vs half B of b), after common-cropping.
-    ``cross_aligned``: same keys -> (NCC after alignment, (dx, dy)).
-    """
-
-    same: dict
-    cross_raw: dict
-    cross_aligned: dict
-
-
-def split_half_correlations(
-    manifest: DatasetManifest, sets: dict, max_shift: int = DEFAULT_MAX_SHIFT
-) -> SplitHalfReport:
-    same = {}
-    cross_raw = {}
-    cross_aligned = {}
-    pids = manifest.pipeline_ids
-    for cam in manifest.cameras:
-        planes_a = common_crop_planes([sets[(cam, pid)].half_a.plane for pid in pids])
-        planes_b = common_crop_planes([sets[(cam, pid)].half_b.plane for pid in pids])
-        for i, pid in enumerate(pids):
-            same[(cam, pid)] = ncc(planes_a[i], planes_b[i])
-        for i in range(len(pids)):
-            for j in range(len(pids)):
-                if i == j:
-                    continue
-                key = (cam, pids[i], pids[j])
-                cross_raw[key] = ncc(planes_a[i], planes_b[j])
-                shift, corr = align(planes_a[i], planes_b[j], max_shift)
-                cross_aligned[key] = (corr, shift)
-    return SplitHalfReport(same, cross_raw, cross_aligned)
 
 
 @dataclass(frozen=True)
@@ -631,36 +576,31 @@ def report(
 @dataclass
 class RunResult:
     manifest: DatasetManifest
-    fingerprint_sets: dict
-    matrix: CorrelationMatrix
-    records: list
     summary: dict
 
 
 def run_evaluation(config: ExperimentConfig, out_dir) -> RunResult:
-    """End-to-end run: dataset, fingerprints, matrix, sweep, report."""
+    """End-to-end run: dataset, fingerprints, matrix, sweep, report.
+
+    Only the fingerprints the report reads are estimated: the first camera's
+    under every pipeline, for the matrix, and every other camera's under the
+    estimation pipeline, for the sweep.
+    """
     out = Path(out_dir)
     manifest = build_dataset(config, out / "dataset")
-    sets = estimate_fingerprint_sets(
-        manifest, config.denoiser, saturation_threshold=config.saturation_threshold
+    cam0, *others = manifest.cameras
+    est = config.estimation_pipeline
+    keys = [(cam0, pid) for pid in manifest.pipeline_ids] + [(cam, est) for cam in others]
+    fingerprints = estimate_fingerprint_sets(manifest, keys, config.denoiser, config.saturation_threshold)
+    planes = common_crop_planes([fingerprints[(cam0, pid)].plane for pid in manifest.pipeline_ids])
+    matrix = correlation_matrix(
+        [
+            Fingerprint(plane, cam0, pid, fingerprints[(cam0, pid)].n_sources)
+            for plane, pid in zip(planes, manifest.pipeline_ids)
+        ],
+        config.max_shift,
     )
-    cam0 = manifest.cameras[0]
-    full_planes = common_crop_planes(
-        [sets[(cam0, pid)].full.plane for pid in manifest.pipeline_ids]
-    )
-    full_fps = [
-        Fingerprint(plane, cam0, pid, sets[(cam0, pid)].full.n_sources)
-        for plane, pid in zip(full_planes, manifest.pipeline_ids)
-    ]
-    matrix = correlation_matrix(full_fps, config.max_shift)
-    fingerprints = {key: s.full for key, s in sets.items()}
-    records = pce_sweep(
-        manifest,
-        fingerprints,
-        config.estimation_pipeline,
-        config.patch_sizes,
-        config.denoiser,
-    )
-    summary = summarize(records, config.estimation_pipeline)
+    records = pce_sweep(manifest, fingerprints, est, config.patch_sizes, config.denoiser)
+    summary = summarize(records, est)
     report(out / "report", manifest, matrix, records, summary, config)
-    return RunResult(manifest, sets, matrix, records, summary)
+    return RunResult(manifest, summary)

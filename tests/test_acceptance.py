@@ -141,7 +141,7 @@ def test_criterion_7_splice_localization(patch_manifest, patch_sets, patch_confi
     with _criterion(7, "spliced region raises tampering probability by 0.2"):
         est = patch_config.estimation_pipeline
         cam_a, cam_b = patch_manifest.cameras[:2]
-        fp = patch_sets[(cam_a, est)].full
+        fp = patch_sets[(cam_a, est)]
         authentic = to_luminance(load_image(patch_manifest.image_paths(cam_a, est, "test")[0]))
         foreign = to_luminance(load_image(patch_manifest.image_paths(cam_b, est, "test")[0]))
 

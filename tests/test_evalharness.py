@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prnukit import _pool
+from prnukit import _pool, evalharness
 from prnukit.denoise import wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
@@ -103,7 +103,7 @@ def test_manifest_reload(tmp_path):
 def test_correlation_matrix_contract(ci_manifest, ci_sets, ci_config):
     cam = ci_manifest.cameras[0]
     planes = common_crop_planes(
-        [ci_sets[(cam, pid)].full.plane for pid in ci_manifest.pipeline_ids]
+        [ci_sets[(cam, pid)][0].plane for pid in ci_manifest.pipeline_ids]
     )
     fps = [
         Fingerprint(p, cam, pid, 1)
@@ -125,11 +125,7 @@ def test_correlation_matrix_same_config_exceeds_cross(ci_manifest, ci_sets, ci_c
     # split-half entries against full cross-config entries, all aligned
     cam = ci_manifest.cameras[0]
     pids = ci_manifest.pipeline_ids
-    halves = []
-    for pid in pids:
-        s = ci_sets[(cam, pid)]
-        halves.append((s.half_a.plane, s.half_b.plane))
-    planes = common_crop_planes([p for pair in halves for p in pair])
+    planes = common_crop_planes([half.plane for pid in pids for half in ci_sets[(cam, pid)][1:]])
     fps = [Fingerprint(p, cam, f"{pids[i // 2]}:{'ab'[i % 2]}", 1) for i, p in enumerate(planes)]
     matrix = correlation_matrix(fps, ci_config.max_shift)
     n = len(pids)
@@ -157,8 +153,7 @@ def test_correlation_matrix_validation():
 def test_pce_sweep_record_count(tmp_path):
     cfg = _tiny_config()
     manifest = build_dataset(cfg, tmp_path / "ds")
-    sets = estimate_fingerprint_sets(manifest, cfg.denoiser)
-    fps = {k: s.full for k, s in sets.items()}
+    fps = estimate_fingerprint_sets(manifest, [("camX", "p_a")], cfg.denoiser)
     records = pce_sweep(manifest, fps, "p_a", (32, 16), cfg.denoiser)
     for pid in ("p_a", "p_b"):
         for size in (32, 16):
@@ -247,7 +242,7 @@ def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_confi
     summary = summarize(patch_records, patch_config.estimation_pipeline)
     cam = patch_manifest.cameras[0]
     planes = common_crop_planes(
-        [patch_sets[(cam, pid)].full.plane for pid in patch_manifest.pipeline_ids]
+        [patch_sets[(cam, pid)].plane for pid in patch_manifest.pipeline_ids]
     )
     fps = [Fingerprint(p, cam, pid, 1) for p, pid in zip(planes, patch_manifest.pipeline_ids)]
     matrix = correlation_matrix(fps, patch_config.max_shift)
@@ -327,6 +322,22 @@ def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
     assert runs[1][1].keys() == runs[2][1].keys()
     for rel, data in runs[1][1].items():
         assert runs[2][1][rel] == data, rel
+
+
+def test_evaluation_estimates_only_the_fingerprints_it_reads(tmp_path, monkeypatch):
+    asked = []
+    estimate = evalharness.estimate_fingerprint_sets
+
+    def recording(manifest, keys, *args, **kwargs):
+        asked.extend(keys)
+        return estimate(manifest, keys, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "estimate_fingerprint_sets", recording)
+    _pin_cores(monkeypatch, 1)
+    run_evaluation(_tiny_config(cameras=("camX", "camY")), tmp_path / "run")
+    # the first camera under every pipeline for the matrix, the others under
+    # the estimation pipeline for the sweep
+    assert asked == [("camX", "p_a"), ("camX", "p_b"), ("camY", "p_a")]
 
 
 def _denoise_faults(seed):
@@ -414,11 +425,12 @@ def test_worker_error_matches_serial_error(tmp_path, monkeypatch):
     for cam, pid in (("camX", "p_b"), ("camY", "p_a")):
         path = manifest.image_paths(cam, pid, "estimation")[1]
         path.write_bytes(path.read_bytes()[:-7])
+    keys = [("camX", "p_a"), ("camX", "p_b"), ("camY", "p_a")]
     errors = {}
     for cores in (1, 2):
         _pin_cores(monkeypatch, cores)
         with pytest.raises(FormatError) as exc:
-            estimate_fingerprint_sets(manifest, cfg.denoiser)
+            estimate_fingerprint_sets(manifest, keys, cfg.denoiser)
         errors[cores] = (type(exc.value), str(exc.value))
     assert errors[1] == errors[2]
     assert str(manifest.image_paths("camX", "p_b", "estimation")[1]) in errors[2][1]
