@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build a synthetic splice and render its tampering-probability maps.
+"""Build a synthetic splice and render its no-match tail-probability maps.
 
 Simulates two cameras, estimates a fingerprint for the first, pastes a
 foreign square from the second into one of its test images, and writes the

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-shift", type=int, default=DEFAULT_MAX_SHIFT)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("localize", help="sliding-window tampering probability map")
+    p = sub.add_parser("localize", help="sliding-window map of each window's no-match tail probability")
     p.add_argument("--image", required=True)
     p.add_argument("--fingerprint", required=True)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)

@@ -1,4 +1,4 @@
-"""Sliding-window PCE maps and tampering-probability maps.
+"""Sliding-window PCE maps and their no-match tail-probability maps.
 
 Localization assumes the image is geometrically aligned with the
 fingerprint, so each window's PCE is evaluated at zero shift rather than
@@ -20,7 +20,7 @@ from .denoise import DenoiserSpec
 from .errors import ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_image, window_origins
-from .matching import DEFAULT_EXCLUSION_RADIUS, match_patch, p_value
+from .matching import DEFAULT_EXCLUSION_RADIUS, _score_windows, p_value
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -66,27 +66,24 @@ def pce_map(
         )
     origins = window_origins(img.shape, window, stride)  # rejects a bad geometry before the residual
     res = residual(img, denoiser)
-    score = partial(_window_pces, img, res, fp, window, exclusion_radius)
+    score = partial(_window_pces, img, res, fp.plane, window, exclusion_radius)
     pces = [v for chunk in _pool.ordered_map(score, _pool.split(origins)) for v in chunk]
     cols = sum(1 for x, y in origins if y == 0)  # windows in the first row
     return HeatMap(np.array(pces).reshape(-1, cols), window, stride)
 
 
-def _window_pces(img, res, fp: Fingerprint, window: int, exclusion_radius: int, origins) -> list:
+def _window_pces(img, res, kplane, window: int, exclusion_radius: int, origins) -> list:
     """Zero-shift PCE of each ``window``-sized window at ``origins``."""
-    pces = []
-    for x, y in origins:
-        win = (slice(y, y + window), slice(x, x + window))
-        pces.append(match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak=(0, 0)).pce)
-    return pces
+    return [s.pce for s in _score_windows(img, res, kplane, window, origins, exclusion_radius, (0, 0))]
 
 
 def probability_map(pmap: HeatMap) -> HeatMap:
-    """Per-window tampering probability: the :func:`~prnukit.matching.p_value` of each PCE.
+    """Per-window no-match tail probability: the :func:`~prnukit.matching.p_value` of each pinned PCE.
 
-    A pointwise monotone non-increasing transform of the PCE: zero PCE maps
-    to 0.5, large PCE to ~0, so authentic regions go dark and mismatched
-    regions stay bright.
+    A pointwise monotone non-increasing transform of the PCE: zero or
+    negative PCE maps to 0.5, large PCE to ~0, so matching regions go dark.
+    It is not a probability of tampering: a window the fingerprint does not
+    match gets a value spread over (0, 0.5], not one near 1.
     """
     probs = np.vectorize(p_value, otypes=[float])(pmap.grid, pmap.window**2)
     return HeatMap(probs, pmap.window, pmap.stride)

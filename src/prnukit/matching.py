@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +54,20 @@ def ncc(a, b) -> float:
     return float(np.dot(da.ravel(), db.ravel()) / (math.sqrt(saa) * math.sqrt(sbb)))
 
 
+def _correlate(fa, fb, shape) -> np.ndarray:
+    """Correlation surface of two ``shape`` planes from their ``np.fft.rfft(plane, axis=0)`` spectra.
+
+    Zeroing ``fa``'s DC bin removes both planes' means from the product.
+    """
+    fa = np.fft.fft(fa, axis=1)
+    fa[0, 0] = 0.0
+    return np.fft.irfftn(np.conj(fa) * np.fft.fft(fb, axis=1), s=shape[::-1], axes=(1, 0))
+
+
 def cross_correlate(a, b) -> np.ndarray:
     """Circular cross-correlation surface, computed in the frequency domain."""
     pa, pb = _pair(a, b)
-    da = pa - pa.mean()
-    db = pb - pb.mean()
-    fa = np.fft.rfft2(da)
-    fb = np.fft.rfft2(db)
-    return np.fft.irfft2(np.conj(fa) * fb, s=da.shape)
+    return _correlate(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0), pa.shape)
 
 
 def signed_shift(index: int, dim: int) -> int:
@@ -80,14 +87,18 @@ def p_value(pce_value: float, surface_area: int) -> float:
     return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
 
 
-def _circular_square_mask(shape, center, radius):
+@lru_cache(maxsize=16)
+def _circular_square_mask(shape: tuple, center: tuple, radius: int) -> np.ndarray:
+    """Read-only mask of the (2r+1)^2 circular neighborhood of ``center``."""
     h, w = shape
     cy, cx = center
     ry = np.arange(h) - cy
     rx = np.arange(w) - cx
     dy = np.minimum(ry % h, (-ry) % h)
     dx = np.minimum(rx % w, (-rx) % w)
-    return (dy[:, None] <= radius) & (dx[None, :] <= radius)
+    mask = (dy[:, None] <= radius) & (dx[None, :] <= radius)
+    mask.flags.writeable = False
+    return mask
 
 
 def pce(
@@ -173,6 +184,12 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     return (sx, sy), corr
 
 
+def _check_inside(kplane, x0: int, y0: int, pw: int, ph: int) -> None:
+    fh, fw = kplane.shape
+    if x0 < 0 or y0 < 0 or x0 + pw > fw or y0 + ph > fh:
+        raise ValueError(f"patch {pw}x{ph} at ({x0},{y0}) outside {fw}x{fh} fingerprint")
+
+
 def match_patch(
     test_image,
     test_residual,
@@ -188,17 +205,33 @@ def match_patch(
     I * k plus noise).
     """
     img, res = _pair(test_image, test_residual)
-    kplane = fp.plane
     ph, pw = img.shape
     x0, y0 = int(origin[0]), int(origin[1])
-    fh, fw = kplane.shape
-    if x0 < 0 or y0 < 0 or x0 + pw > fw or y0 + ph > fh:
-        raise ValueError(
-            f"patch {pw}x{ph} at ({x0},{y0}) outside {fw}x{fh} fingerprint"
-        )
-    template = img * kplane[y0 : y0 + ph, x0 : x0 + pw]
-    surface = cross_correlate(res, template)
-    return pce(surface, exclusion_radius, peak=peak)
+    _check_inside(fp.plane, x0, y0, pw, ph)
+    template = img * fp.plane[y0 : y0 + ph, x0 : x0 + pw]
+    return pce(cross_correlate(res, template), exclusion_radius, peak=peak)
+
+
+def _score_windows(img, res, kplane, size: int, origins, exclusion_radius: int, peak) -> list:
+    """``match_patch``'s score of each ``size``-square window at the row-major ``origins``, bit for bit.
+
+    The axis-0 spectra of the residual and of the template are taken once
+    per band of rows, across every column a window can reach whatever the
+    first origin. Columns transform independently, so the columns a window
+    slices out of them are the bits of its own spectra.
+    """
+    for x, y in origins:
+        _check_inside(kplane, x, y, size, size)
+    w = min(img.shape[1], kplane.shape[1])
+    scores, band = [], None
+    for x, y in origins:
+        if band != y:
+            band, rows = y, slice(y, y + size)
+            fres = np.fft.rfft(res[rows, :w], axis=0)
+            ftpl = np.fft.rfft(img[rows, :w] * kplane[rows, :w], axis=0)
+        cols = slice(x, x + size)
+        scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius, peak))
+    return scores
 
 
 def match_windows(
@@ -212,8 +245,5 @@ def match_windows(
 ) -> list:
     """Row-major ``[((x, y), PceScore), ...]``: ``match_patch`` of each window_origins window."""
     img, res = _pair(test_image, test_residual)
-    scores = []
-    for x, y in window_origins(img.shape, size, stride):
-        win = (slice(y, y + size), slice(x, x + size))
-        scores.append(((x, y), match_patch(img[win], res[win], fp, (x, y), exclusion_radius, peak)))
-    return scores
+    origins = window_origins(img.shape, size, stride)
+    return list(zip(origins, _score_windows(img, res, fp.plane, size, origins, exclusion_radius, peak)))

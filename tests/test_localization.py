@@ -48,7 +48,7 @@ def test_pce_map_matches_formula_and_detects_pattern():
     # each entry is match_patch's score of that window, pinned at (0, 0)
     res = residual(image, DenoiserSpec("gaussian", sigma=1.0))
     rows, cols = hm.shape
-    for i, j in ((0, 0), (1, 2), (rows - 1, cols - 1)):
+    for i, j in np.ndindex(rows, cols):
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
         assert hm.grid[i, j] == match_patch(image[win], res[win], fp, (x, y), peak=(0, 0)).pce
@@ -56,6 +56,18 @@ def test_pce_map_matches_formula_and_detects_pattern():
 
 def _grid(image, k):
     return pce_map(image, Fingerprint(k), window=32, stride=16, denoiser=DenoiserSpec("gaussian", sigma=1.0)).grid
+
+
+def test_pce_map_chunk_boundary_mid_row_keeps_every_bit(monkeypatch):
+    # 5 x 5 windows over 2 workers: 13 and 12, so both transform the band of row 2.
+    rng = np.random.default_rng(11)
+    k = rng.normal(0, 0.02, (96, 96))
+    image = 0.5 * (1.0 + k) + rng.normal(0, 0.002, k.shape)
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+    assert [len(chunk) for chunk in _pool.split(window_origins(k.shape, 32, 16))] == [13, 12]
+    forked = _grid(image, k)
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
+    assert np.array_equal(forked, _grid(image, k))
 
 
 def test_pce_map_in_a_daemonic_worker_runs_serially(monkeypatch):

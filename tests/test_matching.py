@@ -62,6 +62,18 @@ def test_fft_matches_bruteforce(seed, n):
     assert np.abs(cross_correlate(a, b) - cross_correlate_direct(a, b)).max() < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(9, 13), (12, 8), (15, 15), (16, 10)])
+@pytest.mark.parametrize("offset", [0.0, 1.0, 100.0, 1e3])
+def test_cross_correlate_is_the_mean_removed_circular_sum(shape, offset):
+    # The frequency path zeroes a DC bin instead of subtracting the means;
+    # planes offset by up to 1e3 must still come out mean-removed.
+    rng = np.random.default_rng(shape[0] * shape[1])
+    a = rng.standard_normal(shape) + offset
+    b = rng.standard_normal(shape) - offset / 2
+    want = cross_correlate_direct(a, b)
+    assert np.abs(cross_correlate(a, b) - want).max() <= 1e-9 * np.abs(want).max()
+
+
 def test_pce_degenerate_surface():
     surface = np.zeros((32, 32))
     surface[4, 7] = 3.0
