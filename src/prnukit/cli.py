@@ -89,15 +89,13 @@ def _score_line(rec: ScoreRecord) -> str:
 def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
-    if args.patch:
-        window_origins(img.shape, args.patch)  # reject a bad window before the residual
+    size = args.patch or img.shape[1]
+    origins = window_origins(img.shape, size) if args.patch else [(0, 0)]  # rejects a bad window before the residual
     res = residual(img, args.denoiser)
     if args.patch:
-        scores = match_windows(img, res, fp, args.patch, exclusion_radius=args.exclusion_radius)
-        size = args.patch
+        scores = match_windows(img, res, fp, size, origins, args.exclusion_radius)
     else:
-        scores = [((0, 0), match_patch(img, res, fp, (0, 0), args.exclusion_radius))]
-        size = img.shape[1]
+        scores = [match_patch(img, res, fp, (0, 0), args.exclusion_radius)]
     records = [
         ScoreRecord.from_score(
             score,
@@ -110,7 +108,7 @@ def cmd_match(args) -> int:
             image=str(args.image),
             label="unlabeled",
         )
-        for origin, score in scores
+        for origin, score in zip(origins, scores)
     ]
     for rec in records:
         print(rec.json_line() if args.json else _score_line(rec))

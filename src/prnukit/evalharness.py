@@ -38,7 +38,7 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, save_image, to_luminance
+from .imaging import load_image, save_image, to_luminance, window_origins
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop, synth_scene, synth_sensor
 from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows
 
@@ -387,7 +387,8 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
             for size in patch_sizes:
                 if size > min(cimg.shape):
                     continue
-                for origin, score in match_windows(cimg, cres, fp, size):
+                origins = window_origins(cimg.shape, size)
+                for origin, score in zip(origins, match_windows(cimg, cres, fp, size, origins)):
                     records.append(
                         ScoreRecord.from_score(
                             score,

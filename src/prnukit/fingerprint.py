@@ -140,14 +140,14 @@ def clean_fingerprint(fp: Fingerprint, whiten: bool = False) -> Fingerprint:
     return replace(fp, plane=plane)
 
 
-def whiten_plane(plane: np.ndarray, noise_std: float | None = None) -> np.ndarray:
+def whiten_plane(plane: np.ndarray) -> np.ndarray:
     """Wiener filter on the Fourier magnitude, flattening the spectrum.
 
     Off the default estimation path; changes detection-statistic magnitudes.
     """
     p = as_plane(plane)
     h, w = p.shape
-    std = p.std(ddof=1) if noise_std is None else float(noise_std)
+    std = p.std(ddof=1)
     if std <= 0:
         return p.copy()
     spec = np.fft.fft2(p)

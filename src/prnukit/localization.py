@@ -1,8 +1,9 @@
 """Sliding-window PCE maps and their no-match tail-probability maps.
 
 Localization assumes the image is geometrically aligned with the
-fingerprint, so each window's PCE is evaluated at zero shift rather than
-via a peak search; a peak search would reward spurious matches.
+fingerprint, so ``pce_map`` scores each window with ``match_windows`` at
+zero shift rather than via a peak search; a peak search would reward
+spurious matches.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from scipy.ndimage import median_filter
 
 from . import _pool
 from .denoise import DenoiserSpec
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .fingerprint import Fingerprint, residual
 from .imaging import as_plane, save_image, window_origins
-from .matching import DEFAULT_EXCLUSION_RADIUS, _score_windows, p_value
+from .matching import match_windows, p_value
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -52,12 +53,11 @@ def pce_map(
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
     denoiser: DenoiserSpec = DenoiserSpec(),
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ) -> HeatMap:
     """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region.
 
-    The residual is computed once; the windows are split into one contiguous
-    row-major chunk per usable core and scored in parallel.
+    The residual is computed once; ``match_windows`` scores one contiguous
+    row-major chunk of the ``window_origins`` per usable core, in parallel.
     """
     img = as_plane(image)
     if img.shape != fp.plane.shape:
@@ -66,15 +66,10 @@ def pce_map(
         )
     origins = window_origins(img.shape, window, stride)  # rejects a bad geometry before the residual
     res = residual(img, denoiser)
-    score = partial(_window_pces, img, res, fp.plane, window, exclusion_radius)
-    pces = [v for chunk in _pool.ordered_map(score, _pool.split(origins)) for v in chunk]
+    score = partial(match_windows, img, res, fp, window, peak=(0, 0))
+    pces = [s.pce for chunk in _pool.ordered_map(score, _pool.split(origins)) for s in chunk]
     cols = sum(1 for x, y in origins if y == 0)  # windows in the first row
     return HeatMap(np.array(pces).reshape(-1, cols), window, stride)
-
-
-def _window_pces(img, res, kplane, window: int, exclusion_radius: int, origins) -> list:
-    """Zero-shift PCE of each ``window``-sized window at ``origins``."""
-    return [s.pce for s in _score_windows(img, res, kplane, window, origins, exclusion_radius, (0, 0))]
 
 
 def probability_map(pmap: HeatMap) -> HeatMap:
@@ -117,8 +112,13 @@ def save_map_json(hmap: HeatMap, path) -> None:
 
 
 def load_map_json(path) -> HeatMap:
-    obj = json.loads(Path(path).read_text())
-    grid = np.array(obj["values"], dtype=np.float64).reshape(
-        obj["rows"], obj["cols"]
-    )
-    return HeatMap(grid, int(obj["window"]), int(obj["stride"]))
+    """The map ``save_map_json`` wrote; a malformed file raises FormatError naming ``path``."""
+    try:
+        obj = json.loads(Path(path).read_text())
+        grid = np.array(obj["values"], dtype=np.float64).reshape(obj["rows"], obj["cols"])
+        hmap = HeatMap(grid, int(obj["window"]), int(obj["stride"]))
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from None
+    if not np.isfinite(grid).all():
+        raise FormatError(f"{path}: non-finite map value")
+    return hmap

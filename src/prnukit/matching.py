@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .fingerprint import Fingerprint
-from .imaging import as_plane, window_origins
+from .imaging import as_plane
 
 DEFAULT_EXCLUSION_RADIUS = 5
 DEFAULT_MAX_SHIFT = 16
@@ -184,10 +184,10 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     return (sx, sy), corr
 
 
-def _check_inside(kplane, x0: int, y0: int, pw: int, ph: int) -> None:
-    fh, fw = kplane.shape
-    if x0 < 0 or y0 < 0 or x0 + pw > fw or y0 + ph > fh:
-        raise ValueError(f"patch {pw}x{ph} at ({x0},{y0}) outside {fw}x{fh} fingerprint")
+def _check_inside(shape, x0: int, y0: int, pw: int, ph: int, plane: str) -> None:
+    h, w = shape
+    if x0 < 0 or y0 < 0 or x0 + pw > w or y0 + ph > h:
+        raise ValueError(f"patch {pw}x{ph} at ({x0},{y0}) outside {w}x{h} {plane}")
 
 
 def match_patch(
@@ -207,21 +207,35 @@ def match_patch(
     img, res = _pair(test_image, test_residual)
     ph, pw = img.shape
     x0, y0 = int(origin[0]), int(origin[1])
-    _check_inside(fp.plane, x0, y0, pw, ph)
+    _check_inside(fp.plane.shape, x0, y0, pw, ph, "fingerprint")
     template = img * fp.plane[y0 : y0 + ph, x0 : x0 + pw]
     return pce(cross_correlate(res, template), exclusion_radius, peak=peak)
 
 
-def _score_windows(img, res, kplane, size: int, origins, exclusion_radius: int, peak) -> list:
-    """``match_patch``'s score of each ``size``-square window at the row-major ``origins``, bit for bit.
+def match_windows(
+    test_image,
+    test_residual,
+    fp: Fingerprint,
+    size: int,
+    origins,
+    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
+    peak: tuple | None = None,
+) -> list:
+    """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit.
 
+    An origin is a window's top-left (x, y) corner in the image and in the
+    fingerprint alike, as :func:`~prnukit.imaging.window_origins` lays them
+    out; a window that leaves either raises ValueError before any is scored.
     The axis-0 spectra of the residual and of the template are taken once
-    per band of rows, across every column a window can reach whatever the
-    first origin. Columns transform independently, so the columns a window
-    slices out of them are the bits of its own spectra.
+    per run of origins on one band of rows, across every column a window can
+    reach. Columns transform independently, so the columns a window slices
+    out of them are the bits of its own spectra.
     """
+    img, res = _pair(test_image, test_residual)
+    kplane = fp.plane
     for x, y in origins:
-        _check_inside(kplane, x, y, size, size)
+        _check_inside(img.shape, x, y, size, size, "image")
+        _check_inside(kplane.shape, x, y, size, size, "fingerprint")
     w = min(img.shape[1], kplane.shape[1])
     scores, band = [], None
     for x, y in origins:
@@ -232,18 +246,3 @@ def _score_windows(img, res, kplane, size: int, origins, exclusion_radius: int, 
         cols = slice(x, x + size)
         scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius, peak))
     return scores
-
-
-def match_windows(
-    test_image,
-    test_residual,
-    fp: Fingerprint,
-    size: int,
-    stride: int | None = None,
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
-    peak: tuple | None = None,
-) -> list:
-    """Row-major ``[((x, y), PceScore), ...]``: ``match_patch`` of each window_origins window."""
-    img, res = _pair(test_image, test_residual)
-    origins = window_origins(img.shape, size, stride)
-    return list(zip(origins, _score_windows(img, res, fp.plane, size, origins, exclusion_radius, peak)))

@@ -138,7 +138,7 @@ def test_criterion_6_tpr_ordering(patch_records, patch_config):
 
 
 def test_criterion_7_splice_localization(patch_manifest, patch_sets, patch_config):
-    with _criterion(7, "spliced region raises tampering probability by 0.2"):
+    with _criterion(7, "spliced region raises no-match tail probability by 0.2"):
         est = patch_config.estimation_pipeline
         cam_a, cam_b = patch_manifest.cameras[:2]
         fp = patch_sets[(cam_a, est)]

@@ -65,15 +65,86 @@ def _public_names(path):
 _KEPT_READERS = {"read_score_records", "load_map_json"}
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    # The package's own modules, the scripts and the benchmark, but not __init__
-    # (which only re-exports) and not any test suite. String constants count:
-    # the benchmark's tracer names the functions it wraps as strings.
+def _caller_files():
+    """The package's own modules, the scripts and the benchmark, but not
+    __init__ (which only re-exports) and not any test suite."""
     modules = sorted((ROOT / "src" / "prnukit").glob("*.py"))
     files = [p for p in modules if p.name != "__init__.py"]
     files += list((ROOT / "scripts").rglob("*.py"))
     files += [p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT / "perfbench").parts]
+    return modules, files
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # String constants count: the benchmark's tracer names the functions it
+    # wraps as strings.
+    modules, files = _caller_files()
     used = set().union(*map(_names_used, files))
     names = {name for path in modules for name in _public_names(path)}
     assert set(prnukit.__all__) <= names
     assert sorted(names - used) == sorted(_KEPT_READERS)
+
+
+def _defaulted_parameters(path):
+    """{name: (positional parameter names, defaulted parameter names)} of one
+    source file's public top-level functions."""
+    params = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults) :]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            params[node.name] = (positional, defaulted)
+    return params
+
+
+def _callee(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _arguments_set(path, params):
+    """(function, parameter) pairs that one file's calls set: by keyword or by
+    position, directly or bound through ``functools.partial``. A ``*`` splat
+    may set every positional parameter from its place on, a ``**`` splat
+    every parameter."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if _callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        name = _callee(func)
+        if name not in params:
+            continue
+        positional, defaulted = params[name]
+        starred = any(isinstance(arg, ast.Starred) for arg in args)
+        found |= {(name, p) for p in positional[: len(positional) if starred else len(args)]}
+        found |= {(name, k.arg) for k in node.keywords if k.arg is not None}
+        if any(k.arg is None for k in node.keywords):
+            found |= {(name, p) for p in defaulted}
+    return found
+
+
+# Defaulted parameters that only the tests set, kept on purpose.
+_KEPT_DEFAULTS = {
+    # estimate_fingerprint itself only serves the tests and the benchmark's
+    # tracer; it goes with the tracer's list of names (ROADMAP item 1).
+    ("estimate_fingerprint", "camera_id"),
+    ("estimate_fingerprint", "pipeline_id"),
+    ("estimate_fingerprint", "saturation_threshold"),
+    # the tests pin the peak to make match_patch the oracle of match_windows
+    ("match_patch", "peak"),
+}
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    # A default that no caller overrides is an option only the tests use.
+    modules, files = _caller_files()
+    params = {}
+    for path in modules:
+        params.update(_defaulted_parameters(path))
+    found = set().union(*(_arguments_set(path, params) for path in files))
+    defaulted = {(name, p) for name, (_, ps) in params.items() for p in ps}
+    assert sorted(defaulted - found) == sorted(_KEPT_DEFAULTS)

@@ -188,6 +188,24 @@ def test_map_json_roundtrip(tmp_path):
     assert (loaded.window, loaded.stride) == (128, 64)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": 4, "values": [0.5,', "Expecting value"),
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": 4}', "KeyError: 'values'"),
+        ("[0.5, 0.25]", "list indices"),
+        ('{"rows": 2, "cols": 2, "window": 8, "stride": 4, "values": [0.5, 0.25]}', "reshape"),
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": 4, "values": [0.5, NaN]}', "non-finite"),
+    ],
+    ids=["truncated", "no-values", "top-level-list", "wrong-size", "nan"],
+)
+def test_load_map_json_names_the_file_of_a_malformed_map(tmp_path, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_map_json(path)
+
+
 def test_localization_demo_script_runs(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_localization_demo.py"
     proc = subprocess.run(

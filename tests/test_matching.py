@@ -246,9 +246,22 @@ def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak):
     fp = Fingerprint(k)
     img = rng.random((34, 50))
     res = img * k[:34, :50] + rng.normal(0, 0.01, img.shape)
-    got = match_windows(img, res, fp, size, stride, exclusion_radius=3, peak=peak)
     origins = window_origins(img.shape, size, stride)
-    assert [origin for origin, _ in got] == origins
-    for (x, y), score in got:
+    got = match_windows(img, res, fp, size, origins, exclusion_radius=3, peak=peak)
+    assert len(got) == len(origins)
+    for (x, y), score in zip(origins, got):
         win = (slice(y, y + size), slice(x, x + size))
         assert score == match_patch(img[win], res[win], fp, (x, y), exclusion_radius=3, peak=peak)
+
+
+@pytest.mark.parametrize("origin", [(90, 10), (10, 90)])
+def test_match_windows_rejects_a_window_leaving_the_image(origin):
+    # Inside the 200x200 fingerprint but across the right or the bottom edge of
+    # the 100x100 image: no score from a window the image only partly fills.
+    rng = np.random.default_rng(3)
+    fp = Fingerprint(rng.normal(0, 0.02, (200, 200)))
+    img = rng.random((100, 100))
+    res = img * fp.plane[:100, :100]
+    x, y = origin
+    with pytest.raises(ValueError, match=rf"^patch 32x32 at \({x},{y}\) outside 100x100 image$"):
+        match_windows(img, res, fp, 32, [(0, 0), origin])
