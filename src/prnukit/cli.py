@@ -11,17 +11,14 @@ import glob as globlib
 import math
 import os
 import sys
-from contextlib import closing
-from functools import partial
 from pathlib import Path
 
-from . import _pool
 from .denoise import DenoiserSpec
 from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation
 from .fingerprint import (
     SATURATION_THRESHOLD,
-    FingerprintAccumulator,
     clean_fingerprint,
+    estimate_from_files,
     load_fingerprint,
     residual,
     save_fingerprint,
@@ -29,7 +26,6 @@ from .fingerprint import (
 from .imaging import load_image, to_luminance, window_origins
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
 from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
-from .errors import ShapeError
 
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
@@ -51,25 +47,13 @@ def _parse_saturation(text: str):
     return value
 
 
-def _load_residual(denoiser: DenoiserSpec, path: str):
-    im = to_luminance(load_image(path))
-    return im, residual(im, denoiser)
-
-
 def cmd_estimate(args) -> int:
     # Each file once, in sorted order: the sums, and so the file's bytes, depend on that order.
     paths = sorted({os.path.normpath(p) for pattern in args.images for p in globlib.glob(pattern)})
     if not paths:
         print(f"error: no files match {args.images}", file=sys.stderr)
         return 2
-    acc = FingerprintAccumulator(args.saturation_threshold)
-    with closing(_pool.ordered_map(partial(_load_residual, args.denoiser), paths)) as pairs:
-        for p, (im, res) in zip(paths, pairs):
-            try:
-                acc.add(im, res)
-            except ShapeError as exc:
-                raise ShapeError(f"{p}: {exc}") from None
-    fp = acc.finish(camera_id=args.camera, pipeline_id=args.pipeline)
+    fp = estimate_from_files(paths, args.denoiser, args.saturation_threshold, args.camera, args.pipeline)
     fp = clean_fingerprint(fp, whiten=args.whiten)
     save_fingerprint(fp, args.out)
     h, w = fp.plane.shape

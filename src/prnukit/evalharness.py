@@ -1,6 +1,6 @@
-"""Experiment orchestration: dataset generation, per-pipeline fingerprint
-estimation, cross-pipeline correlation matrices, PCE sweeps by patch size,
-ROC metrics, and report emission.
+"""Experiment orchestration: dataset generation, per-pipeline fingerprints
+(through ``fingerprint.estimate_from_files``, the one estimation loop, which
+``prnukit estimate`` also runs), correlation matrices, PCE sweeps, ROC, reports.
 
 All randomness flows from one master seed; per-image RNG streams are derived
 from (seed, camera index, image index) so generation order or parallelism
@@ -33,8 +33,8 @@ from .errors import FormatError, ShapeError
 from .fingerprint import (
     SATURATION_THRESHOLD,
     Fingerprint,
-    FingerprintAccumulator,
     clean_fingerprint,
+    estimate_from_files,
     residual,
     save_fingerprint,
 )
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ValueError("need at least two pipelines")
         if self.n_estimation < 1 or self.n_test < 1:
             raise ValueError("n_estimation and n_test must be >= 1")
+        if not self.patch_sizes or min(self.patch_sizes) < 1:
+            raise ValueError(f"patch_sizes must be a non-empty list of sizes >= 1, got {list(self.patch_sizes)}")
+        if self.max_shift < 0:
+            raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
         ids = [p.id for p in self.pipelines]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate pipeline ids in {ids}")
@@ -226,19 +230,15 @@ def estimate_fingerprint_sets(
 ) -> dict:
     """Fingerprint of each (camera, pipeline id) in ``keys``, from its
     estimation images; one unit per key, merged in the order of ``keys``."""
-    units = [(cam, pid, manifest.image_paths(cam, pid, "estimation")) for cam, pid in keys]
-    fingerprints = _pool.ordered_map(partial(_estimate, denoiser, saturation_threshold), units)
+    fingerprints = _pool.ordered_map(partial(_estimate, manifest, denoiser, saturation_threshold), keys)
     return dict(zip(keys, list(fingerprints)))
 
 
-def _estimate(denoiser: DenoiserSpec, saturation_threshold: Optional[float], unit) -> Fingerprint:
-    """Fingerprint of one (camera, pipeline id, estimation paths) unit."""
-    cam, pid, paths = unit
-    acc = FingerprintAccumulator(saturation_threshold)
-    for path in paths:
-        img = to_luminance(load_image(path))
-        acc.add(img, residual(img, denoiser))
-    return clean_fingerprint(acc.finish(cam, pid))
+def _estimate(manifest, denoiser: DenoiserSpec, saturation_threshold: Optional[float], key) -> Fingerprint:
+    """Cleaned fingerprint of one (camera, pipeline id) key, from its estimation images."""
+    cam, pid = key
+    paths = manifest.image_paths(cam, pid, "estimation")
+    return clean_fingerprint(estimate_from_files(paths, denoiser, saturation_threshold, cam, pid))
 
 
 def common_crop_planes(planes):

@@ -12,14 +12,17 @@ the imaging pipeline tends to share across cameras.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .denoise import DenoiserSpec, apply_denoiser, local_signal_variance
 from .errors import DegenerateInputError, FormatError, ShapeError
-from .imaging import as_plane
+from .imaging import as_plane, load_image, to_luminance
 
 # Normalized-intensity level at and above which a sample is treated as
 # saturated (254 on the 8-bit scale). Saturated pixels carry no usable
@@ -101,6 +104,23 @@ class FingerprintAccumulator:
             self._num, self._den, out=np.zeros(self._num.shape), where=self._den > 0
         )
         return Fingerprint(k, camera_id, pipeline_id, self.n)
+
+
+def _load_residual(denoiser: DenoiserSpec, path):
+    im = to_luminance(load_image(path))
+    return im, residual(im, denoiser)
+
+
+def estimate_from_files(paths, denoiser, saturation_threshold, camera_id, pipeline_id) -> Fingerprint:
+    """Uncleaned estimate from the image files ``paths``, summed in their order; ShapeError names the file."""
+    acc = FingerprintAccumulator(saturation_threshold)
+    with closing(_pool.ordered_map(partial(_load_residual, denoiser), paths)) as pairs:
+        for p, (im, res) in zip(paths, pairs):
+            try:
+                acc.add(im, res)
+            except ShapeError as exc:
+                raise ShapeError(f"{p}: {exc}") from None
+    return acc.finish(camera_id, pipeline_id)
 
 
 def estimate_fingerprint(

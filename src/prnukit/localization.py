@@ -115,8 +115,11 @@ def load_map_json(path) -> HeatMap:
     """The map ``save_map_json`` wrote; a malformed file raises FormatError naming ``path``."""
     try:
         obj = json.loads(Path(path).read_text())
+        for key in ("rows", "cols", "window", "stride"):
+            if type(obj[key]) is not int or obj[key] < 1:  # bool is not int here
+                raise ValueError(f"{key} must be an integer >= 1, got {obj[key]!r}")
         grid = np.array(obj["values"], dtype=np.float64).reshape(obj["rows"], obj["cols"])
-        hmap = HeatMap(grid, int(obj["window"]), int(obj["stride"]))
+        hmap = HeatMap(grid, obj["window"], obj["stride"])
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from None
     if not np.isfinite(grid).all():

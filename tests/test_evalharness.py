@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prnukit import _pool, evalharness
-from prnukit.denoise import wavelet_denoise
+from prnukit import _pool, cli, evalharness
+from prnukit.denoise import DenoiserSpec, wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
+from prnukit.imaging import save_image
 from prnukit.evalharness import (
     CorrelationMatrix,
     DatasetManifest,
@@ -437,6 +438,33 @@ def test_worker_error_matches_serial_error(tmp_path, monkeypatch):
     assert "truncated pixel data" in errors[2][1]
 
 
+def test_mis_sized_estimation_image_is_named_at_any_core_count(tmp_path, monkeypatch):
+    cfg = _tiny_config(cameras=("camX", "camY"))
+    manifest = build_dataset(cfg, tmp_path / "ds")
+    bad = manifest.image_paths("camX", "p_b", "estimation")[1]
+    save_image(np.full((32, 64, 3), 0.5), bad, bit_depth=16)
+    message = f"^{re.escape(str(bad))}: plane shape \\(32, 64\\) differs from \\(64, 64\\)$"
+    # one key: its images split over the workers; three keys: one key per worker
+    for keys in ([("camX", "p_b")], [("camX", "p_a"), ("camX", "p_b"), ("camY", "p_a")]):
+        for cores in (1, 2):
+            _pin_cores(monkeypatch, cores)
+            with pytest.raises(ShapeError, match=message):
+                estimate_fingerprint_sets(manifest, keys, cfg.denoiser)
+
+
+def test_cli_estimate_matches_the_harness_fingerprint(tmp_path):
+    manifest = build_dataset(_tiny_config(n_estimation=3), tmp_path / "ds")
+    key = ("camX", "p_b")
+    expected = estimate_fingerprint_sets(manifest, [key], DenoiserSpec("gaussian", sigma=1.5), 0.9)[key]
+    paths = [str(p) for p in manifest.image_paths(*key, "estimation")]
+    out = tmp_path / "camX.fp"
+    argv = ["estimate", "--images", *paths, "--out", str(out), "--denoiser", "gaussian:1.5", "--saturation-threshold", "0.9"]
+    assert cli.main(argv) == 0
+    got = load_fingerprint(out)
+    assert got.n_sources == expected.n_sources == 3
+    assert np.array_equal(got.plane, expected.plane)
+
+
 def test_experiment_config_json_roundtrip():
     cfg = _tiny_config()
     back = ExperimentConfig.from_json(cfg.to_json())
@@ -473,6 +501,15 @@ def test_experiment_config_validation():
             ExperimentConfig.from_json(obj)
     for obj in ({"n_test": 2.5}, {"sensor": {"width": "wide"}}, {"cameras": [1]}, {"patch_sizes": [True]}):
         with pytest.raises(ValueError, match="expected"):
+            ExperimentConfig.from_json(obj)
+    # rejected when the config is read, before any dataset is written
+    for obj, named in (
+        ({"patch_sizes": []}, "patch_sizes"),
+        ({"patch_sizes": [0]}, "patch_sizes"),
+        ({"patch_sizes": [128, -32]}, "patch_sizes"),
+        ({"max_shift": -1}, "max_shift"),
+    ):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
             ExperimentConfig.from_json(obj)
     # ids name directories of the dataset tree
     for kw in (

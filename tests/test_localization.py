@@ -196,8 +196,15 @@ def test_map_json_roundtrip(tmp_path):
         ("[0.5, 0.25]", "list indices"),
         ('{"rows": 2, "cols": 2, "window": 8, "stride": 4, "values": [0.5, 0.25]}', "reshape"),
         ('{"rows": 1, "cols": 2, "window": 8, "stride": 4, "values": [0.5, NaN]}', "non-finite"),
+        ('{"rows": 1, "cols": 2, "window": 64.9, "stride": 4, "values": [0.5, 0.25]}', "window must be an integer >= 1, got 64.9"),
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": -4, "values": [0.5, 0.25]}', "stride must be an integer >= 1, got -4"),
+        ('{"rows": 1, "cols": 2, "window": true, "stride": 4, "values": [0.5, 0.25]}', "window must be an integer >= 1, got True"),
+        ('{"rows": -1, "cols": 2, "window": 8, "stride": 4, "values": [0.5, 0.25]}', "rows must be an integer >= 1, got -1"),
+        ('{"rows": 0, "cols": 0, "window": 8, "stride": 4, "values": []}', "rows must be an integer >= 1, got 0"),
+        ('{"rows": 1, "cols": "2", "window": 8, "stride": 4, "values": [0.5, 0.25]}', "cols must be an integer >= 1, got '2'"),
     ],
-    ids=["truncated", "no-values", "top-level-list", "wrong-size", "nan"],
+    ids=["truncated", "no-values", "top-level-list", "wrong-size", "nan", "fractional-window", "negative-stride",
+         "bool-window", "negative-rows", "empty", "string-cols"],
 )
 def test_load_map_json_names_the_file_of_a_malformed_map(tmp_path, text, message):
     path = tmp_path / "map.json"
