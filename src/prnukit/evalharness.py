@@ -5,7 +5,8 @@
 All randomness flows from one master seed; per-image RNG streams are derived
 from (seed, camera index, image index) so generation order or parallelism
 cannot change outputs. Estimation captures are shared across pipelines: each
-raw is exposed once and developed through every pipeline.
+raw is exposed once, demosaiced once per kind and developed through every
+pipeline.
 
 Dataset generation, estimation and the PCE sweep split into independent
 units (per camera, per fingerprint the report reads, per (test camera,
@@ -39,7 +40,7 @@ from .fingerprint import (
     save_fingerprint,
 )
 from .imaging import load_image, save_image, to_luminance, window_origins
-from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop, synth_scene, synth_sensor
+from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop_each, synth_scene, synth_sensor
 from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows
 
 DEFAULT_TARGET_FPR = 0.005
@@ -214,8 +215,7 @@ def _build_camera(config: ExperimentConfig, root: Path, cam_idx: int):
                 seed=derive_seed(config.seed, _STREAM_CAPTURE, cam_idx, img_idx),
             )
             capture_ids[split].append(f"{cam}/{img_idx:03d}")
-            for pipe in config.pipelines:
-                developed = develop(raw, pipe)
+            for pipe, developed in zip(config.pipelines, develop_each(raw, config.pipelines)):
                 rel = f"images/{cam}/{pipe.id}/{split}_{i:03d}.ppm"
                 save_image(developed, root / rel, bit_depth=16)
                 images[pipe.id][split].append(rel)

@@ -253,17 +253,30 @@ def develop(raw, config: PipelineConfig) -> np.ndarray:
     A nonzero crop offset shrinks the output (even dimensions maintained).
     Non-finite samples raise :class:`DegenerateInputError`.
     """
+    return next(develop_each(raw, (config,)))
+
+
+def develop_each(raw, configs):
+    """Yield ``develop(raw, config)`` for each of ``configs`` in order,
+    demosaicing ``raw`` once per demosaic kind."""
     p = as_plane(raw)
     h, w = p.shape
     if h % 2 or w % 2:
         raise ShapeError("mosaiced plane must have even dimensions")
     if not np.isfinite(p).all():
         raise DegenerateInputError("mosaiced plane has non-finite samples")
-    rgb = _DEMOSAICERS[config.demosaic](p)
+    demosaiced = {}
+    for config in configs:
+        if config.demosaic not in demosaiced:
+            demosaiced[config.demosaic] = _DEMOSAICERS[config.demosaic](p)
+        yield _render(demosaiced[config.demosaic], config)
+
+
+def _render(rgb: np.ndarray, config: PipelineConfig) -> np.ndarray:
+    """Every step of ``config`` after the demosaic; ``rgb`` is left unchanged."""
+    h, w = rgb.shape[:2]
     r_gain, b_gain = config.white_balance
-    rgb[:, :, 0] *= r_gain
-    rgb[:, :, 2] *= b_gain
-    rgb = np.clip(rgb, 0.0, 1.0)
+    rgb = np.clip(rgb * np.array([r_gain, 1.0, b_gain]), 0.0, 1.0)
     rgb = config.tone.apply(rgb)
     if config.denoise is not None:
         for c in range(3):

@@ -18,6 +18,7 @@ from prnukit.ispsim import (
     ToneCurve,
     capture,
     develop,
+    develop_each,
     synth_scene,
     synth_sensor,
 )
@@ -144,6 +145,27 @@ def test_develop_deterministic():
     raw = capture(synth_scene(64, 64, "texture", seed=11), sensor, seed=12)
     cfg = DEFAULT_PIPELINES[1]
     assert np.array_equal(develop(raw, cfg), develop(raw, cfg))
+
+
+def test_develop_each_demosaics_once_per_kind(monkeypatch):
+    sensor = synth_sensor(64, 64, seed=13)
+    raw = capture(synth_scene(64, 64, "texture", seed=14), sensor, seed=15)
+    want = [develop(raw, cfg) for cfg in DEFAULT_PIPELINES]
+    calls = []
+
+    def counted(kind, demosaic):
+        def run(plane):
+            calls.append(kind)
+            return demosaic(plane)
+
+        return run
+
+    for kind, demosaic in list(ispsim._DEMOSAICERS.items()):
+        monkeypatch.setitem(ispsim._DEMOSAICERS, kind, counted(kind, demosaic))
+    got = list(develop_each(raw, DEFAULT_PIPELINES))
+    assert sorted(calls) == sorted(DEMOSAIC_KINDS)
+    for cfg, a, b in zip(DEFAULT_PIPELINES, got, want):
+        assert np.array_equal(a, b), cfg.id
 
 
 def test_develop_crop_shrinks_to_even_dims():
