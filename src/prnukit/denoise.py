@@ -1,10 +1,11 @@
 """Denoising filters used to form noise residuals.
 
 The wavelet denoiser is the workhorse: a 4-level Daubechies-8 decomposition
-with per-subband local Wiener shrinkage, where each detail coefficient is
-scaled by s2 / (s2 + noise_variance) and s2 is the smallest windowed energy
-estimate (window sizes 3, 5, 7, 9) minus the noise floor, clamped at zero.
-The Gaussian blur is a simple baseline for cross-checks.
+with local Wiener shrinkage. Each detail coefficient is scaled by
+s2 / (s2 + noise_variance), where s2 is the smallest 3, 5, 7 or 9 px window
+mean energy (from one summed-area table per level, zeros outside the subband)
+minus the noise floor, clamped at zero. No step calls BLAS, so residual bits do
+not depend on the BLAS kernel. The Gaussian blur is a baseline for cross-checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d, uniform_filter
+from scipy.ndimage import convolve1d
 
 from . import _config, wavelets
 from .errors import ShapeError
@@ -54,19 +55,25 @@ class DenoiserSpec:
 
 
 def local_signal_variance(coeff: np.ndarray, noise_variance: float) -> np.ndarray:
-    """Conservative local signal-energy estimate: the minimum over window sizes
-    of the windowed mean energy, minus the noise floor, clamped at zero."""
-    energy = coeff * coeff
+    """Conservative local signal-energy estimate of each (h, w) plane of
+    ``coeff``: the minimum over window sizes of the windowed mean energy (zeros
+    outside the plane), minus the noise floor, clamped at zero."""
+    h, w = coeff.shape[-2:]
+    r = _WINDOW_SIZES[-1] // 2
+    # table[..., i, j]: energy summed over rows < i and columns < j of the plane zero-padded by r
+    table = np.zeros(coeff.shape[:-2] + (h + 2 * r + 1, w + 2 * r + 1))
+    np.multiply(coeff, coeff, out=table[..., r + 1 : r + 1 + h, r + 1 : r + 1 + w])
+    np.cumsum(table, axis=-2, out=table)
+    np.cumsum(table, axis=-1, out=table)
     est = None
     for size in _WINDOW_SIZES:
-        m = uniform_filter(energy, size=size, mode="constant")
-        est = m if est is None else np.minimum(est, m)
-    return np.maximum(est - noise_variance, 0.0)
-
-
-def _shrink(coeff: np.ndarray, noise_variance: float) -> np.ndarray:
-    s2 = local_signal_variance(coeff, noise_variance)
-    return coeff * (s2 / (s2 + noise_variance))
+        a = r - size // 2
+        rows = table[..., a + size : a + size + h, :] - table[..., a : a + h, :]
+        mean = rows[..., a + size : a + size + w] - rows[..., a : a + w]
+        mean /= size * size
+        est = mean if est is None else np.minimum(est, mean, out=est)
+    est -= noise_variance
+    return np.maximum(est, 0.0, out=est)
 
 
 def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np.ndarray:
@@ -80,10 +87,10 @@ def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np
             f"decomposition size {_MIN_SIZE}"
         )
     approx, details, shapes = wavelets.decompose(p, _LEVELS)
-    shrunk = [
-        tuple(_shrink(band, noise_variance) for band in level) for level in details
-    ]
-    return wavelets.reconstruct(approx, shrunk, shapes)
+    for bands in details:
+        s2 = local_signal_variance(bands, noise_variance)
+        bands *= np.divide(s2, s2 + noise_variance, out=s2)
+    return wavelets.reconstruct(approx, details, shapes)
 
 
 def gaussian_denoise(plane, sigma: float) -> np.ndarray:

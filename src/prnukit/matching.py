@@ -45,13 +45,13 @@ def ncc(a, b) -> float:
     pa, pb = _pair(a, b)
     da = pa - pa.mean()
     db = pb - pb.mean()
-    saa = float(np.dot(da.ravel(), da.ravel()))
-    sbb = float(np.dot(db.ravel(), db.ravel()))
+    saa = float(np.sum(da * da))  # not np.dot, whose rounding depends on the BLAS kernel
+    sbb = float(np.sum(db * db))
     if not (math.isfinite(saa) and math.isfinite(sbb)):
         raise DegenerateInputError("plane holds a non-finite value")
     if saa == 0.0 or sbb == 0.0:
         raise DegenerateInputError("constant plane has no correlation")
-    return float(np.dot(da.ravel(), db.ravel()) / (math.sqrt(saa) * math.sqrt(sbb)))
+    return float(np.sum(da * db) / (math.sqrt(saa) * math.sqrt(sbb)))
 
 
 def _correlate(fa, fb, shape) -> np.ndarray:

@@ -8,12 +8,14 @@ critically-sampled size, which is what makes the inverse transform exact on
 the original sample positions: every basis function overlapping them is
 retained, and no partially-supported (tapered) coefficient ever enters the
 reconstruction.
+
+Both directions run in polyphase form, as elementwise products summed in tap
+order: no filter calls BLAS, and synthesis builds no zero-upsampled plane.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Daubechies 8-tap scaling filter (4 vanishing moments), refined by spectral
 # factorization to machine-precision orthonormality.
@@ -32,81 +34,72 @@ LOWPASS = np.array(
 # Quadrature-mirror highpass: g[m] = (-1)^m h[L-1-m].
 HIGHPASS = LOWPASS[::-1] * np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
 
-_LEN = len(LOWPASS)  # 8
-_PAD = _LEN - 1  # 7
-_FIRST = _LEN  # first even index with full filter support
+_PAD = len(LOWPASS) - 1  # 7
 
 
-def _analyze(ext: np.ndarray, axis: int):
-    """Filter an extended signal along ``axis``, keeping fully-supported
-    even-indexed coefficients.
-
-    Coefficient c[j] = sum_t f[t] ext[j - t] for even j in [_FIRST, m - 1]
-    equals the window ext[j-7 .. j] dotted with the reversed filter.
-    """
-    m = ext.shape[axis]
-    win = sliding_window_view(ext, _LEN, axis=axis)
-    if axis == 1:
-        win = win[:, 1 : m - _LEN + 1 : 2, :]
-    else:
-        win = win[1 : m - _LEN + 1 : 2, :, :]
-    return win @ LOWPASS[::-1], win @ HIGHPASS[::-1]
+def _dot(terms, out: np.ndarray) -> np.ndarray:
+    """out = the sum of samples * tap over ``terms``, added in order."""
+    tmp = np.empty_like(out)
+    np.multiply(*terms[0], out=out)
+    for samples, tap in terms[1:]:
+        out += np.multiply(samples, tap, out=tmp)
+    return out
 
 
-def _upsample(coeff: np.ndarray, axis: int, m: int) -> np.ndarray:
-    shape = list(coeff.shape)
-    shape[axis] = m + _LEN - 1
-    up = np.zeros(shape)
-    idx = [slice(None), slice(None)]
-    idx[axis] = slice(_FIRST, _FIRST + 2 * coeff.shape[axis], 2)
-    up[tuple(idx)] = coeff
-    return up
+def _analyze(ext: np.ndarray, axis: int) -> np.ndarray:
+    """Lowpass and highpass coefficients of ``ext`` along ``axis`` (a negative
+    axis), stacked on a new first axis: c[j] = sum_t f[t] ext[2j + 8 - t] for
+    every window ext[2j+1 .. 2j+8], read from copies of its odd and even samples."""
+    shape = list(ext.shape)
+    shape[axis] = (shape[axis] - 9) // 2 + 1
+    out = np.empty([2] + shape)
+    ext, bands = np.swapaxes(ext, axis, -1), np.swapaxes(out, axis, -1)
+    phases = [ext[..., start::2].copy(order="K") for start in (1, 2)]
+    for f, band in zip((LOWPASS, HIGHPASS), bands):
+        _dot([(phases[k % 2][..., k // 2 : k // 2 + shape[axis]], tap) for k, tap in enumerate(f[::-1])], band)
+    return out
 
 
-def _synthesize(lo: np.ndarray, hi: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Invert one analysis step along ``axis``.
-
-    ``m`` is the extended length that stage analyzed. The result is exact on
-    the fully-supported interior [_PAD, m - _PAD - 1]; the caller crops.
-    """
-    up_lo = _upsample(lo, axis, m)
-    up_hi = _upsample(hi, axis, m)
-    # rec[L-1+t] = sum_j up[j] f_rev[L-1+t-j] = window up[t .. t+L-1] . f
-    rec = sliding_window_view(up_lo, _LEN, axis=axis) @ LOWPASS
-    rec += sliding_window_view(up_hi, _LEN, axis=axis) @ HIGHPASS
-    return rec
+def _synthesize(lo: np.ndarray, hi: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Invert one analysis step along ``axis`` on the ``n`` original samples:
+    sample 2q is sum_i f[2i+1] c[q+i] and sample 2q+1 is sum_i f[2i] c[q+i],
+    summed over each branch, and the two branch sums added."""
+    lo, hi = np.swapaxes(lo, axis, -1), np.swapaxes(hi, axis, -1)
+    out = np.empty_like(lo, shape=lo.shape[:-1] + (n,))
+    for parity in (0, 1):
+        phase = out[..., parity::2]
+        low, high = (
+            _dot([(c[..., i : i + phase.shape[-1]], t) for i, t in enumerate(f[1 - parity :: 2])], np.empty_like(phase))
+            for c, f in ((lo, LOWPASS), (hi, HIGHPASS))
+        )
+        np.add(low, high, out=phase)
+    return np.swapaxes(out, axis, -1)
 
 
 def decompose(plane: np.ndarray, levels: int):
     """Multi-level 2-D decomposition.
 
     Returns ``(approx, details, shapes)`` where ``details`` holds one
-    (lh, hl, hh) triple per level (finest first) and ``shapes`` records each
-    level's input shape for reconstruction.
+    ``(3, h, w)`` array of the (lh, hl, hh) subbands per level (finest first)
+    and ``shapes`` records each level's input shape for reconstruction.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     cur = np.asarray(plane, dtype=np.float64)
-    details = []
-    shapes = []
+    details, shapes = [], []
     for _ in range(levels):
         shapes.append(cur.shape)
-        ext = np.pad(cur, _PAD, mode="symmetric")
-        row_lo, row_hi = _analyze(ext, axis=1)
-        ll, hl = _analyze(row_lo, axis=0)
-        lh, hh = _analyze(row_hi, axis=0)
-        details.append((lh, hl, hh))
-        cur = ll
+        rows = _analyze(np.pad(cur, _PAD, mode="symmetric"), -1)  # row lowpass, row highpass
+        bands = _analyze(rows, -2).reshape(4, -1, rows.shape[-1])  # ll, lh, hl, hh
+        details.append(bands[1:])
+        cur = bands[0]
     return cur, details, shapes
 
 
 def reconstruct(approx: np.ndarray, details, shapes) -> np.ndarray:
     """Invert :func:`decompose` exactly (up to float rounding)."""
     cur = approx
-    for (lh, hl, hh), (h, w) in zip(reversed(details), reversed(shapes)):
-        mh, mw = h + 2 * _PAD, w + 2 * _PAD
-        row_lo = _synthesize(cur, hl, axis=0, m=mh)
-        row_hi = _synthesize(lh, hh, axis=0, m=mh)
-        ext = _synthesize(row_lo, row_hi, axis=1, m=mw)
-        cur = ext[_PAD : _PAD + h, _PAD : _PAD + w]
+    for bands, (h, w) in zip(reversed(details), reversed(shapes)):
+        rows = _synthesize(np.stack((cur, bands[0])), bands[1:], -2, h)
+        cur = _synthesize(rows[0], rows[1], -1, w)
     return cur

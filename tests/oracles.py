@@ -1,10 +1,13 @@
 """Independent reference implementations that tests compare the package against."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
 from prnukit.matching import _pair
+from prnukit.wavelets import HIGHPASS, LOWPASS
 
 
 def cross_correlate_direct(a, b) -> np.ndarray:
@@ -60,3 +63,87 @@ def demosaic_edge_direct(raw: np.ndarray) -> np.ndarray:
     b = green + convolve((pad - green) * bmask, _K_RB, "same", "direct") / 4.0
     out = np.stack([r, green, b], axis=2)
     return out[2:-2, 2:-2]
+
+
+# The wavelet transform and Wiener shrink as first written: zero-upsampled
+# synthesis, one 8-tap matmul per filter on either axis, and one
+# ``uniform_filter`` per window size.
+_LEN = 8
+_PAD = _LEN - 1
+
+
+def _analyze(ext: np.ndarray, axis: int):
+    m = ext.shape[axis]
+    win = sliding_window_view(ext, _LEN, axis=axis)
+    if axis == 1:
+        win = win[:, 1 : m - _LEN + 1 : 2, :]
+    else:
+        win = win[1 : m - _LEN + 1 : 2, :, :]
+    return win @ LOWPASS[::-1], win @ HIGHPASS[::-1]
+
+
+def _upsample(coeff: np.ndarray, axis: int, m: int) -> np.ndarray:
+    shape = list(coeff.shape)
+    shape[axis] = m + _LEN - 1
+    up = np.zeros(shape)
+    idx = [slice(None), slice(None)]
+    idx[axis] = slice(_LEN, _LEN + 2 * coeff.shape[axis], 2)
+    up[tuple(idx)] = coeff
+    return up
+
+
+def _synthesize(lo: np.ndarray, hi: np.ndarray, axis: int, m: int) -> np.ndarray:
+    rec = sliding_window_view(_upsample(lo, axis, m), _LEN, axis=axis) @ LOWPASS
+    rec += sliding_window_view(_upsample(hi, axis, m), _LEN, axis=axis) @ HIGHPASS
+    return rec
+
+
+def wavelet_decompose(plane: np.ndarray, levels: int):
+    """(approx, [(lh, hl, hh) per level, finest first], [input shape per level])."""
+    cur = np.asarray(plane, dtype=np.float64)
+    details = []
+    shapes = []
+    for _ in range(levels):
+        shapes.append(cur.shape)
+        ext = np.pad(cur, _PAD, mode="symmetric")
+        row_lo, row_hi = _analyze(ext, axis=1)
+        ll, hl = _analyze(row_lo, axis=0)
+        lh, hh = _analyze(row_hi, axis=0)
+        details.append((lh, hl, hh))
+        cur = ll
+    return cur, details, shapes
+
+
+def wavelet_reconstruct(approx: np.ndarray, details, shapes) -> np.ndarray:
+    cur = approx
+    for (lh, hl, hh), (h, w) in zip(reversed(details), reversed(shapes)):
+        mh, mw = h + 2 * _PAD, w + 2 * _PAD
+        row_lo = _synthesize(cur, hl, axis=0, m=mh)
+        row_hi = _synthesize(lh, hh, axis=0, m=mh)
+        ext = _synthesize(row_lo, row_hi, axis=1, m=mw)
+        cur = ext[_PAD : _PAD + h, _PAD : _PAD + w]
+    return cur
+
+
+def local_signal_variance(coeff: np.ndarray, noise_variance: float) -> np.ndarray:
+    """Minimum over 3, 5, 7 and 9 px windows of the mean energy (zeros outside
+    the plane), minus the noise floor, clamped at zero; 2-D planes only."""
+    energy = coeff * coeff
+    est = None
+    for size in (3, 5, 7, 9):
+        m = uniform_filter(energy, size=size, mode="constant")
+        est = m if est is None else np.minimum(est, m)
+    return np.maximum(est - noise_variance, 0.0)
+
+
+def wavelet_denoise(plane: np.ndarray, noise_variance: float) -> np.ndarray:
+    """4-level transform, each detail subband shrunk by s2 / (s2 + noise_variance)."""
+    approx, details, shapes = wavelet_decompose(plane, 4)
+    shrunk = []
+    for level in details:
+        bands = []
+        for band in level:
+            s2 = local_signal_variance(band, noise_variance)
+            bands.append(band * (s2 / (s2 + noise_variance)))
+        shrunk.append(bands)
+    return wavelet_reconstruct(approx, shrunk, shapes)

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from prnukit import wavelets
 from prnukit.denoise import (
     DEFAULT_NOISE_VARIANCE,
     DenoiserSpec,
     apply_denoiser,
     gaussian_denoise,
+    local_signal_variance,
     wavelet_denoise,
 )
 from prnukit.errors import ShapeError
@@ -30,6 +37,53 @@ def test_transform_roundtrip_exact(h, w, levels, seed):
     x = np.random.default_rng(seed).standard_normal((h, w))
     approx, details, shapes = wavelets.decompose(x, levels)
     assert np.abs(wavelets.reconstruct(approx, details, shapes) - x).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (37, 61), (252, 252), (256, 256), (512, 384)])
+def test_wavelet_denoise_matches_the_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    smooth = 0.5 + 0.05 * rng.standard_normal(shape)
+    for plane in (rng.random(shape), smooth):
+        want = oracles.wavelet_denoise(plane, DEFAULT_NOISE_VARIANCE)
+        assert np.abs(wavelet_denoise(plane) - want).max() < 1e-12
+
+
+def test_local_signal_variance_matches_the_oracle():
+    stack = 0.05 * np.random.default_rng(13).standard_normal((3, 70, 45))
+    got = local_signal_variance(stack, DEFAULT_NOISE_VARIANCE)
+    for band, est in zip(stack, got):
+        # window sums are differences of a summed-area table, so their
+        # rounding scales with the plane's total energy
+        tol = 64 * np.finfo(float).eps * (band * band).sum()
+        assert np.abs(est - oracles.local_signal_variance(band, DEFAULT_NOISE_VARIANCE)).max() < tol
+        assert np.array_equal(local_signal_variance(band, DEFAULT_NOISE_VARIANCE), est)
+
+
+_RESIDUAL_DIGEST = """
+import hashlib
+import numpy as np
+from prnukit.denoise import DenoiserSpec
+from prnukit.fingerprint import residual
+from prnukit.matching import ncc
+plane = 0.5 + 0.05 * np.random.default_rng(14).standard_normal((256, 256))
+r = residual(plane, DenoiserSpec())
+print(hashlib.sha256(r.tobytes() + repr(ncc(r, plane)).encode()).hexdigest())
+"""
+
+
+def test_residual_bits_do_not_depend_on_the_blas_kernel():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for coretype in (None, "Haswell", "Nehalem", "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(src)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESIDUAL_DIGEST], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_wavelet_constant_fixpoint():
