@@ -161,10 +161,10 @@ def clean_fingerprint(fp: Fingerprint, whiten: bool = False) -> Fingerprint:
 
 
 def whiten_plane(plane: np.ndarray) -> np.ndarray:
-    """Wiener filter on the Fourier magnitude, flattening the spectrum.
-
-    Off the default estimation path; changes detection-statistic magnitudes.
-    """
+    """Wiener filter on the Fourier magnitude that removes the spectrum's peaks:
+    each bin is scaled by sigma^2 / (s2 + sigma^2), with sigma the plane's std and
+    s2 the local signal variance of the DFT magnitude. The flat part, which holds
+    the PRNU, passes nearly unchanged. Off the default estimation path."""
     p = as_plane(plane)
     h, w = p.shape
     std = p.std(ddof=1)
@@ -173,7 +173,7 @@ def whiten_plane(plane: np.ndarray) -> np.ndarray:
     spec = np.fft.fft2(p)
     mag = np.abs(spec) / np.sqrt(h * w)
     s2 = local_signal_variance(mag, std**2)
-    gain = s2 / (s2 + std**2)
+    gain = std**2 / (s2 + std**2)
     out = np.fft.ifft2(spec * gain).real
     return out
 

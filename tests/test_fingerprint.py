@@ -15,8 +15,9 @@ from prnukit.fingerprint import (
     whiten_plane,
     zero_mean_rows_cols,
 )
-from prnukit.ispsim import capture, synth_scene, synth_sensor
-from prnukit.matching import ncc
+from prnukit.ispsim import DEFAULT_PIPELINES, capture, develop, synth_scene, synth_sensor
+from prnukit.imaging import to_luminance
+from prnukit.matching import match_patch, ncc
 
 
 def test_single_image_ratio():
@@ -204,6 +205,44 @@ def test_whiten_runs_and_preserves_shape():
     assert np.isfinite(out).all()
     flagged = clean_fingerprint(Fingerprint(plane), whiten=True)
     assert flagged.plane.shape == plane.shape
+
+
+def test_whiten_passes_white_noise_nearly_unchanged():
+    plane = np.random.default_rng(11).standard_normal((256, 256))
+    out = whiten_plane(plane)
+    assert (out**2).sum() >= 0.9 * (plane**2).sum()
+    assert ncc(out, plane) >= 0.99
+
+
+def test_whiten_lowers_a_periodic_grid_peak():
+    n = 256
+    on_grid = np.arange(n) % 8 == 0
+    grid = (on_grid[:, None] | on_grid[None, :]).astype(float)
+    plane = np.random.default_rng(12).standard_normal((n, n)) + 0.5 * (grid - grid.mean())
+
+    def peak_over_median(p):
+        mag = np.abs(np.fft.fft2(p))
+        return mag[0, n // 8] / np.median(mag)
+
+    assert peak_over_median(whiten_plane(plane)) < peak_over_median(plane)
+
+
+def test_whiten_keeps_same_camera_pce():
+    size = 128
+    sensor = synth_sensor(size, size, seed=3)
+    pipe = DEFAULT_PIPELINES[0]
+    denoiser = DenoiserSpec()
+
+    def luminance(scene, seed):
+        return to_luminance(develop(capture(scene, sensor, seed=seed), pipe))
+
+    flats = [luminance(synth_scene(size, size, "flat", level=0.4 + 0.02 * i), 100 + i) for i in range(20)]
+    fp = estimate_fingerprint(flats, [residual(f, denoiser) for f in flats])
+    plain, whitened = clean_fingerprint(fp), clean_fingerprint(fp, whiten=True)
+    for i in range(5):
+        probe = luminance(synth_scene(size, size, "texture", seed=200 + i), 300 + i)
+        res = residual(probe, denoiser)
+        assert match_patch(probe, res, whitened).pce >= match_patch(probe, res, plain).pce
 
 
 def test_save_load_roundtrip(tmp_path):
