@@ -144,16 +144,16 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     out = _resolve_out(args, config)
-    result = run_evaluation(config, out)
+    summary = run_evaluation(config, out)
     print(f"estimation pipeline: {config.estimation_pipeline}")
     print("pipeline_test      size   n      median_pce")
-    for entry in result.summary["per_pipeline"]:
+    for entry in summary["per_pipeline"]:
         print(
             f"{entry['pipeline_test']:<18} {entry['patch_size']:<6} "
             f"{entry['n']:<6} {entry['median']:.2f}"
         )
-    print("group  size   auc      tpr@{:.2%}".format(result.summary["target_fpr"]))
-    for entry in result.summary["detection"]:
+    print("group  size   auc      tpr@{:.2%}".format(summary["target_fpr"]))
+    for entry in summary["detection"]:
         print(
             f"{entry['group']:<6} {entry['patch_size']:<6} "
             f"{entry['auc']:.4f}   {entry['tpr_at_target']:.4f}"

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__ as _package_version
 from . import _config, _pool
 from .denoise import DenoiserSpec
-from .errors import FormatError, ShapeError
+from .errors import FormatError
 from .fingerprint import (
     SATURATION_THRESHOLD,
     Fingerprint,
@@ -39,7 +39,7 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, save_image, to_luminance, window_origins
+from .imaging import common_crop_planes, load_image, save_image, to_luminance, window_origins
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop_each, synth_scene, synth_sensor
 from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows
 
@@ -241,13 +241,6 @@ def _estimate(manifest, denoiser: DenoiserSpec, saturation_threshold: Optional[f
     return clean_fingerprint(estimate_from_files(paths, denoiser, saturation_threshold, cam, pid))
 
 
-def common_crop_planes(planes):
-    """Crop every plane to the shared top-left rectangle."""
-    h = min(p.shape[0] for p in planes)
-    w = min(p.shape[1] for p in planes)
-    return [p[:h, :w] for p in planes]
-
-
 @dataclass
 class CorrelationMatrix:
     ids: list
@@ -256,27 +249,26 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(fingerprints, max_shift: int = DEFAULT_MAX_SHIFT) -> CorrelationMatrix:
-    """Post-alignment NCC between all fingerprint pairs.
+    """Post-alignment NCC between all fingerprint pairs, ids from their pipeline ids.
 
-    The matrix is symmetric by construction: entry (j, i) mirrors (i, j)
-    with the opposite shift. Diagonal entries are 1 at shift (0, 0).
+    Every pair is compared over the one top-left rectangle that all the
+    planes share, so each entry covers the same pixels. The matrix is
+    symmetric by construction: entry (j, i) mirrors (i, j) with the opposite
+    shift. Diagonal entries are 1 at shift (0, 0).
     """
     if len(fingerprints) < 2:
         raise ValueError("need at least two fingerprints")
-    shapes = {fp.plane.shape for fp in fingerprints}
-    if len(shapes) != 1:
-        raise ShapeError(f"fingerprints differ in shape: {sorted(shapes)}")
     n = len(fingerprints)
-    ids = [fp.pipeline_id or f"fp{i}" for i, fp in enumerate(fingerprints)]
+    planes = common_crop_planes([fp.plane for fp in fingerprints])
     mat = np.eye(n)
     shifts = np.zeros((n, n, 2), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            (dx, dy), corr = align(fingerprints[i], fingerprints[j], max_shift)
+            (dx, dy), corr = align(planes[i], planes[j], max_shift)
             mat[i, j] = mat[j, i] = corr
             shifts[i, j] = (dx, dy)
             shifts[j, i] = (-dx, -dy)
-    return CorrelationMatrix(ids, mat, shifts)
+    return CorrelationMatrix([fp.pipeline_id for fp in fingerprints], mat, shifts)
 
 
 @dataclass(frozen=True)
@@ -574,14 +566,8 @@ def report(
     (out / "run_metadata.json").write_text(json.dumps(metadata, sort_keys=True, indent=2) + "\n")
 
 
-@dataclass
-class RunResult:
-    manifest: DatasetManifest
-    summary: dict
-
-
-def run_evaluation(config: ExperimentConfig, out_dir) -> RunResult:
-    """End-to-end run: dataset, fingerprints, matrix, sweep, report.
+def run_evaluation(config: ExperimentConfig, out_dir) -> dict:
+    """End-to-end run: dataset, fingerprints, matrix, sweep, report; returns the summary.
 
     Only the fingerprints the report reads are estimated: the first camera's
     under every pipeline, for the matrix, and every other camera's under the
@@ -593,15 +579,8 @@ def run_evaluation(config: ExperimentConfig, out_dir) -> RunResult:
     est = config.estimation_pipeline
     keys = [(cam0, pid) for pid in manifest.pipeline_ids] + [(cam, est) for cam in others]
     fingerprints = estimate_fingerprint_sets(manifest, keys, config.denoiser, config.saturation_threshold)
-    planes = common_crop_planes([fingerprints[(cam0, pid)].plane for pid in manifest.pipeline_ids])
-    matrix = correlation_matrix(
-        [
-            Fingerprint(plane, cam0, pid, fingerprints[(cam0, pid)].n_sources)
-            for plane, pid in zip(planes, manifest.pipeline_ids)
-        ],
-        config.max_shift,
-    )
+    matrix = correlation_matrix([fingerprints[(cam0, pid)] for pid in manifest.pipeline_ids], config.max_shift)
     records = pce_sweep(manifest, fingerprints, est, config.patch_sizes, config.denoiser)
     summary = summarize(records, est)
     report(out / "report", manifest, matrix, records, summary, config)
-    return RunResult(manifest, summary)
+    return summary

@@ -87,13 +87,10 @@ class FingerprintAccumulator:
         if self._num is None:
             self._num = np.zeros(shape)
             self._den = np.zeros(shape)
-        if self.saturation_threshold is not None:
-            keep = im < self.saturation_threshold
-            self._num += np.where(keep, r * im, 0.0)
-            self._den += np.where(keep, im * im, 0.0)
-        else:
-            self._num += r * im
-            self._den += im * im
+        # No threshold is a cut at inf, which keeps every (finite) sample.
+        keep = im < (np.inf if self.saturation_threshold is None else self.saturation_threshold)
+        self._num += np.where(keep, r * im, 0.0)
+        self._den += np.where(keep, im * im, 0.0)
         self.n += 1
 
     def finish(self, camera_id: str = "", pipeline_id: str = "") -> Fingerprint:

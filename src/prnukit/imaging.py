@@ -1,4 +1,4 @@
-"""Image planes, file I/O, luminance conversion and window tiling.
+"""Image planes, file I/O, luminance conversion, common cropping and window tiling.
 
 A plane is a plain 2-D float64 array with intensities nominally in [0, 1];
 a color image is an (H, W, 3) array. All operations here are pure and never
@@ -150,6 +150,13 @@ def to_luminance(img) -> np.ndarray:
         wr, wg, wb = LUMA_WEIGHTS
         return wr * a[:, :, 0] + wg * a[:, :, 1] + wb * a[:, :, 2]
     raise ShapeError(f"expected (H, W) or (H, W, 3), got shape {a.shape}")
+
+
+def common_crop_planes(planes):
+    """Crop every plane to the top-left rectangle they all share."""
+    h = min(p.shape[0] for p in planes)
+    w = min(p.shape[1] for p in planes)
+    return [p[:h, :w] for p in planes]
 
 
 def window_origins(shape, size: int, stride: int | None = None) -> list:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .fingerprint import Fingerprint
-from .imaging import as_plane
+from .imaging import as_plane, common_crop_planes
 
 DEFAULT_EXCLUSION_RADIUS = 5
 DEFAULT_MAX_SHIFT = 16
@@ -144,18 +144,21 @@ def pce(
 
 
 def _plane_of(obj) -> np.ndarray:
-    return obj.plane if isinstance(obj, Fingerprint) else as_plane(obj)
+    return as_plane(obj.plane if isinstance(obj, Fingerprint) else obj)
 
 
 def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     """Find the shift of ``fb``'s content relative to ``fa``.
 
-    Searches the cross-correlation surface over signed shifts within
-    +-max_shift and returns ``((dx, dy), correlation)`` where correlation is
-    the NCC of the overlapping regions after undoing the shift. Ties are
-    broken by smallest |dx| + |dy|, then row-major order.
+    Planes of different sizes, such as a cropped pipeline's fingerprint and
+    an uncropped one, are compared over the top-left rectangle they share,
+    and ``max_shift`` must be under half its smaller side. Searches the
+    cross-correlation surface over signed shifts within +-max_shift and
+    returns ``((dx, dy), correlation)`` where correlation is the NCC of the
+    overlapping regions after undoing the shift. Ties are broken by smallest
+    |dx| + |dy|, then row-major order.
     """
-    pa, pb = _pair(_plane_of(fa), _plane_of(fb))
+    pa, pb = common_crop_planes([_plane_of(fa), _plane_of(fb)])
     h, w = pa.shape
     if max_shift < 0 or max_shift >= min(h, w) / 2:
         raise ValueError(

@@ -11,12 +11,11 @@ from prnukit import _pool
 from prnukit.evalharness import (
     ExperimentConfig,
     build_dataset,
-    common_crop_planes,
     estimate_fingerprint_sets,
     pce_sweep,
 )
 from prnukit.fingerprint import SATURATION_THRESHOLD, FingerprintAccumulator, clean_fingerprint, residual
-from prnukit.imaging import load_image, to_luminance
+from prnukit.imaging import common_crop_planes, load_image, to_luminance
 from prnukit.ispsim import DEFAULT_PIPELINES, SensorSpec
 from prnukit.matching import align, ncc
 

@@ -219,6 +219,16 @@ def test_align_recovers_shift(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("shift -2 3,")
 
 
+def test_align_accepts_a_cropped_fingerprint(tmp_path, capsys):
+    # fa[4:, 4:] is what a pipeline that crops by (4, 4) keeps of the sensor
+    fa = np.random.default_rng(35).standard_normal((64, 64))
+    save_fingerprint(Fingerprint(fa, "c", "p", 1), tmp_path / "a.fp")
+    save_fingerprint(Fingerprint(fa[4:, 4:], "c", "crop", 1), tmp_path / "b.fp")
+    rc = main(["align", "--a", str(tmp_path / "a.fp"), "--b", str(tmp_path / "b.fp")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "shift -4 -4, ncc 1.0"
+
+
 def test_localize_writes_maps(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(35)
     k = rng.normal(0, 0.02, (128, 128))

@@ -16,13 +16,12 @@ from prnukit import _pool, cli, evalharness
 from prnukit.denoise import DenoiserSpec, wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
 from prnukit.fingerprint import Fingerprint, load_fingerprint
-from prnukit.imaging import save_image
+from prnukit.imaging import common_crop_planes, save_image
 from prnukit.evalharness import (
     CorrelationMatrix,
     DatasetManifest,
     ExperimentConfig,
     build_dataset,
-    common_crop_planes,
     correlation_matrix,
     estimate_fingerprint_sets,
     pce_sweep,
@@ -103,13 +102,7 @@ def test_manifest_reload(tmp_path):
 
 def test_correlation_matrix_contract(ci_manifest, ci_sets, ci_config):
     cam = ci_manifest.cameras[0]
-    planes = common_crop_planes(
-        [ci_sets[(cam, pid)][0].plane for pid in ci_manifest.pipeline_ids]
-    )
-    fps = [
-        Fingerprint(p, cam, pid, 1)
-        for p, pid in zip(planes, ci_manifest.pipeline_ids)
-    ]
+    fps = [ci_sets[(cam, pid)][0] for pid in ci_manifest.pipeline_ids]
     matrix = correlation_matrix(fps, ci_config.max_shift)
     n = len(fps)
     assert matrix.ids == ci_manifest.pipeline_ids
@@ -145,10 +138,16 @@ def test_correlation_matrix_same_config_exceeds_cross(ci_manifest, ci_sets, ci_c
 def test_correlation_matrix_validation():
     with pytest.raises(ValueError):
         correlation_matrix([Fingerprint(np.zeros((8, 8)))])
-    with pytest.raises(ShapeError):
-        correlation_matrix(
-            [Fingerprint(np.zeros((8, 8))), Fingerprint(np.zeros((8, 9)))]
-        )
+    # fingerprints of different shapes are all cropped to the one rectangle they share
+    rng = np.random.default_rng(9)
+    planes = [rng.standard_normal(shape) for shape in ((40, 40), (36, 40), (40, 38))]
+    got = correlation_matrix([Fingerprint(p, "c", f"p{i}") for i, p in enumerate(planes)], 4)
+    want = correlation_matrix(
+        [Fingerprint(p, "c", f"p{i}") for i, p in enumerate(common_crop_planes(planes))], 4
+    )
+    assert got.ids == want.ids == ["p0", "p1", "p2"]
+    assert np.array_equal(got.ncc, want.ncc)
+    assert np.array_equal(got.shifts, want.shifts)
 
 
 def test_pce_sweep_record_count(tmp_path):
@@ -242,10 +241,7 @@ def test_tpr_at_fpr_conventions():
 def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_config, patch_sets):
     summary = summarize(patch_records, patch_config.estimation_pipeline)
     cam = patch_manifest.cameras[0]
-    planes = common_crop_planes(
-        [patch_sets[(cam, pid)].plane for pid in patch_manifest.pipeline_ids]
-    )
-    fps = [Fingerprint(p, cam, pid, 1) for p, pid in zip(planes, patch_manifest.pipeline_ids)]
+    fps = [patch_sets[(cam, pid)] for pid in patch_manifest.pipeline_ids]
     matrix = correlation_matrix(fps, patch_config.max_shift)
     out = tmp_path / "report"
     report(out, patch_manifest, matrix, patch_records, summary, patch_config)
@@ -315,10 +311,11 @@ def test_parallel_run_is_byte_identical_to_serial(tmp_path, monkeypatch):
     runs = {}
     for cores in (1, 2):
         forked = _pin_cores(monkeypatch, cores)
-        result = run_evaluation(cfg, tmp_path / f"cores{cores}")
+        run_evaluation(cfg, tmp_path / f"cores{cores}")
         # build, estimation and sweep each fork a pool of two only when parallel
         assert len(forked) == (0 if cores == 1 else 6)
-        runs[cores] = (result.manifest.sha256(), _file_tree(tmp_path / f"cores{cores}"))
+        manifest = DatasetManifest.load(tmp_path / f"cores{cores}" / "dataset")
+        runs[cores] = (manifest.sha256(), _file_tree(tmp_path / f"cores{cores}"))
     assert runs[1][0] == runs[2][0]
     assert runs[1][1].keys() == runs[2][1].keys()
     for rel, data in runs[1][1].items():

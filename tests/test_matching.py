@@ -178,11 +178,16 @@ def test_align_recovers_any_planted_shift(dx, dy, seed):
 
 
 def test_align_validation():
-    a = np.zeros((32, 32))
-    with pytest.raises(ShapeError):
-        align(a, np.zeros((32, 16)), 4)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((32, 32))
+    b = rng.standard_normal((30, 20))
+    # planes of different shapes are compared over their shared top-left rectangle
+    assert align(a, b, 4) == align(a[:30, :20], b, 4)
+    assert align(b, a, 4) == align(b, a[:30, :20], 4)
     with pytest.raises(ValueError):
         align(a, a, max_shift=16)  # not < min(dim)/2
+    with pytest.raises(ValueError):
+        align(a, b, max_shift=10)  # the bound comes from the 30x20 rectangle
 
 
 def test_align_accepts_fingerprints():
