@@ -64,7 +64,7 @@ def main() -> int:
     ]
     save_image(spliced, out / "spliced.pgm", bit_depth=16)
 
-    pmap = pce_map(spliced, fp_a, window=128, stride=64, denoiser=denoiser)
+    pmap = pce_map(spliced, fp_a.plane, window=128, stride=64, denoiser=denoiser)
     prob = probability_map(pmap)
     save_map_json(prob, out / "probability_map.json")
     render_map(prob, out / "probability_map.pgm")

@@ -77,12 +77,12 @@ def cmd_match(args) -> int:
     origins = window_origins(img.shape, size) if args.patch else [(0, 0)]  # rejects a bad window before the residual
     res = residual(img, args.denoiser)
     if args.patch:
-        scores = match_windows(img, res, fp, size, origins, args.exclusion_radius)
+        scores = match_windows(img, res, fp.plane, size, origins, args.exclusion_radius)
     else:
-        scores = [match_patch(img, res, fp, (0, 0), args.exclusion_radius)]
+        scores = [match_patch(img, res, fp.plane, (0, 0), args.exclusion_radius)]
     records = [
-        ScoreRecord.from_score(
-            score,
+        ScoreRecord(
+            **vars(score),
             camera_fp=fp.camera_id,
             camera_test="",
             pipeline_est=fp.pipeline_id,
@@ -100,17 +100,14 @@ def cmd_match(args) -> int:
 
 
 def cmd_align(args) -> int:
-    fa = load_fingerprint(args.a)
-    fb = load_fingerprint(args.b)
-    (dx, dy), corr = align(fa, fb, args.max_shift)
+    (dx, dy), corr = align(load_fingerprint(args.a).plane, load_fingerprint(args.b).plane, args.max_shift)
     print(f"shift {dx} {dy}, ncc {round(float(corr), 6)}")
     return 0
 
 
 def cmd_localize(args) -> int:
     img = to_luminance(load_image(args.image))
-    fp = load_fingerprint(args.fingerprint)
-    pmap = pce_map(img, fp, args.window, args.stride, args.denoiser)
+    pmap = pce_map(img, load_fingerprint(args.fingerprint).plane, args.window, args.stride, args.denoiser)
     prob = probability_map(pmap)
     render_map(prob, args.out_map, postprocess=args.postprocess)
     if args.json_map:

@@ -41,7 +41,7 @@ from .fingerprint import (
 )
 from .imaging import common_crop_planes, load_image, save_image, to_luminance, window_origins
 from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop_each, synth_scene, synth_sensor
-from .matching import DEFAULT_MAX_SHIFT, PceScore, align, match_windows
+from .matching import DEFAULT_MAX_SHIFT, align, match_windows
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -288,17 +288,6 @@ class ScoreRecord:
     p_value: float
     label: str  # "positive" (same camera) or "negative"
 
-    @classmethod
-    def from_score(cls, score: PceScore, **context) -> "ScoreRecord":
-        """Record of one ``match_patch`` score; ``context`` gives the other fields."""
-        return cls(
-            pce=score.pce,
-            peak_value=score.peak_value,
-            peak=score.peak_location,
-            p_value=score.p_value,
-            **context,
-        )
-
     def json_line(self) -> str:
         """The record as one line of score_records.jsonl, without the newline."""
         return json.dumps(_config.to_json(self), sort_keys=True)
@@ -348,7 +337,7 @@ def pce_sweep(
     sweep = partial(
         _sweep_images,
         manifest.root,
-        {cam: fingerprints[(cam, estimation_pipeline)] for cam in manifest.cameras},
+        {cam: fingerprints[(cam, estimation_pipeline)].plane for cam in manifest.cameras},
         estimation_pipeline,
         patch_sizes,
         denoiser,
@@ -364,7 +353,7 @@ def pce_sweep(
 def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser, unit):
     """ScoreRecords of one (test camera, pipeline id, test paths) unit.
 
-    ``fingerprints`` maps camera -> estimation-pipeline Fingerprint, in
+    ``fingerprints`` maps camera -> estimation-pipeline fingerprint plane, in
     manifest camera order.
     """
     cam_test, pid, paths = unit
@@ -373,17 +362,17 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
         img = to_luminance(load_image(path))
         res = residual(img, denoiser)
         rel = str(path.relative_to(root))
-        for cam_fp, fp in fingerprints.items():
-            cimg, cres, _ = common_crop_planes([img, res, fp.plane])
+        for cam_fp, k in fingerprints.items():
+            cimg, cres, ck = common_crop_planes([img, res, k])
             label = "positive" if cam_fp == cam_test else "negative"
             for size in patch_sizes:
                 if size > min(cimg.shape):
                     continue
                 origins = window_origins(cimg.shape, size)
-                for origin, score in zip(origins, match_windows(cimg, cres, fp, size, origins)):
+                for origin, score in zip(origins, match_windows(cimg, cres, ck, size, origins)):
                     records.append(
-                        ScoreRecord.from_score(
-                            score,
+                        ScoreRecord(
+                            **vars(score),
                             camera_fp=cam_fp,
                             camera_test=cam_test,
                             pipeline_est=estimation_pipeline,

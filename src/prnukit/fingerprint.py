@@ -178,6 +178,8 @@ def whiten_plane(plane: np.ndarray) -> np.ndarray:
 def save_fingerprint(fp: Fingerprint, path) -> None:
     """Write the binary fingerprint file (magic, ASCII header, float64 LE payload)."""
     plane = as_plane(fp.plane)
+    if not np.isfinite(plane).all():  # load_fingerprint would refuse the file
+        raise DegenerateInputError(f"{path}: fingerprint plane has non-finite values")
     if fp.n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {fp.n_sources}")
     for label, value in (("camera", fp.camera_id), ("pipeline", fp.pipeline_id)):

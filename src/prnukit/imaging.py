@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import DegenerateInputError, FormatError, ShapeError
 
 # ITU-R BT.601 luma weights.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -107,7 +107,8 @@ def load_image(path) -> np.ndarray:
 def save_image(img, path, bit_depth: int = 16) -> None:
     """Write a plane as PGM or an (H, W, 3) image as PPM (binary, big-endian).
 
-    A ``.png`` path takes an 8-bit plane and needs Pillow.
+    A ``.png`` path takes an 8-bit plane and needs Pillow. A non-finite
+    sample raises :class:`DegenerateInputError` and writes nothing.
     """
     a = np.asarray(img, dtype=np.float64)
     if a.ndim == 2:
@@ -118,6 +119,8 @@ def save_image(img, path, bit_depth: int = 16) -> None:
         raise ShapeError(f"cannot save array of shape {a.shape}")
     if bit_depth not in (8, 16):
         raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
+    if not np.isfinite(a).all():
+        raise DegenerateInputError(f"{path}: image has non-finite samples")
     maxval = (1 << bit_depth) - 1
     q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")

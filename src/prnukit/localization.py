@@ -19,7 +19,7 @@ from scipy.ndimage import median_filter
 from . import _pool
 from .denoise import DenoiserSpec
 from .errors import FormatError, ShapeError
-from .fingerprint import Fingerprint, residual
+from .fingerprint import residual
 from .imaging import as_plane, save_image, window_origins
 from .matching import match_windows, p_value
 
@@ -49,7 +49,7 @@ class HeatMap:
 
 def pce_map(
     image,
-    fp: Fingerprint,
+    fingerprint,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
     denoiser: DenoiserSpec = DenoiserSpec(),
@@ -59,14 +59,12 @@ def pce_map(
     The residual is computed once; ``match_windows`` scores one contiguous
     row-major chunk of the ``window_origins`` per usable core, in parallel.
     """
-    img = as_plane(image)
-    if img.shape != fp.plane.shape:
-        raise ShapeError(
-            f"image {img.shape} and fingerprint {fp.plane.shape} dimensions differ"
-        )
+    img, k = as_plane(image), as_plane(fingerprint)
+    if img.shape != k.shape:
+        raise ShapeError(f"image {img.shape} and fingerprint {k.shape} dimensions differ")
     origins = window_origins(img.shape, window, stride)  # rejects a bad geometry before the residual
     res = residual(img, denoiser)
-    score = partial(match_windows, img, res, fp, window, peak=(0, 0))
+    score = partial(match_windows, img, res, k, window, peak=(0, 0))
     pces = [s.pce for chunk in _pool.ordered_map(score, _pool.split(origins)) for s in chunk]
     cols = sum(1 for x, y in origins if y == 0)  # windows in the first row
     return HeatMap(np.array(pces).reshape(-1, cols), window, stride)

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .fingerprint import Fingerprint
 from .imaging import as_plane, common_crop_planes
 
 DEFAULT_EXCLUSION_RADIUS = 5
@@ -29,7 +28,7 @@ class PceScore:
 
     pce: float
     peak_value: float
-    peak_location: tuple  # (dx, dy), signed circular shift
+    peak: tuple  # (dx, dy), signed circular shift
     p_value: float
 
 
@@ -138,13 +137,9 @@ def pce(
     return PceScore(
         pce=value,
         peak_value=peak_value,
-        peak_location=(signed_shift(px, w), signed_shift(py, h)),
+        peak=(signed_shift(px, w), signed_shift(py, h)),
         p_value=p_value(value, h * w),
     )
-
-
-def _plane_of(obj) -> np.ndarray:
-    return as_plane(obj.plane if isinstance(obj, Fingerprint) else obj)
 
 
 def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
@@ -158,7 +153,7 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     overlapping regions after undoing the shift. Ties are broken by smallest
     |dx| + |dy|, then row-major order.
     """
-    pa, pb = common_crop_planes([_plane_of(fa), _plane_of(fb)])
+    pa, pb = common_crop_planes([as_plane(fa), as_plane(fb)])
     h, w = pa.shape
     if max_shift < 0 or max_shift >= min(h, w) / 2:
         raise ValueError(
@@ -196,7 +191,7 @@ def _check_inside(shape, x0: int, y0: int, pw: int, ph: int, plane: str) -> None
 def match_patch(
     test_image,
     test_residual,
-    fp: Fingerprint,
+    fingerprint,
     origin: tuple = (0, 0),
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
     peak: tuple | None = None,
@@ -210,15 +205,16 @@ def match_patch(
     img, res = _pair(test_image, test_residual)
     ph, pw = img.shape
     x0, y0 = int(origin[0]), int(origin[1])
-    _check_inside(fp.plane.shape, x0, y0, pw, ph, "fingerprint")
-    template = img * fp.plane[y0 : y0 + ph, x0 : x0 + pw]
+    k = as_plane(fingerprint)
+    _check_inside(k.shape, x0, y0, pw, ph, "fingerprint")
+    template = img * k[y0 : y0 + ph, x0 : x0 + pw]
     return pce(cross_correlate(res, template), exclusion_radius, peak=peak)
 
 
 def match_windows(
     test_image,
     test_residual,
-    fp: Fingerprint,
+    fingerprint,
     size: int,
     origins,
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
@@ -235,7 +231,7 @@ def match_windows(
     out of them are the bits of its own spectra.
     """
     img, res = _pair(test_image, test_residual)
-    kplane = fp.plane
+    kplane = as_plane(fingerprint)
     for x, y in origins:
         _check_inside(img.shape, x, y, size, size, "image")
         _check_inside(kplane.shape, x, y, size, size, "fingerprint")

@@ -141,11 +141,11 @@ def test_criterion_7_splice_localization(patch_manifest, patch_sets, patch_confi
     with _criterion(7, "spliced region raises no-match tail probability by 0.2"):
         est = patch_config.estimation_pipeline
         cam_a, cam_b = patch_manifest.cameras[:2]
-        fp = patch_sets[(cam_a, est)]
+        k = patch_sets[(cam_a, est)].plane
         authentic = to_luminance(load_image(patch_manifest.image_paths(cam_a, est, "test")[0]))
         foreign = to_luminance(load_image(patch_manifest.image_paths(cam_b, est, "test")[0]))
 
-        authentic_map = pce_map(authentic, fp, window=128, stride=64, denoiser=patch_config.denoiser)
+        authentic_map = pce_map(authentic, k, window=128, stride=64, denoiser=patch_config.denoiser)
         frac_high = float(np.mean(authentic_map.grid > 50.0))
         print(f"  authentic image: {frac_high:.3f} of windows above PCE 50")
         assert frac_high >= 0.9
@@ -155,7 +155,7 @@ def test_criterion_7_splice_localization(patch_manifest, patch_sets, patch_confi
         spliced = authentic.copy()
         spliced[y0 : y0 + size, x0 : x0 + size] = foreign[y0 : y0 + size, x0 : x0 + size]
         prob = probability_map(
-            pce_map(spliced, fp, window=128, stride=64, denoiser=patch_config.denoiser)
+            pce_map(spliced, k, window=128, stride=64, denoiser=patch_config.denoiser)
         )
         inside, outside = [], []
         rows, cols = prob.shape

@@ -20,6 +20,18 @@ def test_all_is_sorted_unique_and_resolves():
     assert not hasattr(prnukit.matching, "cross_correlate_direct")
 
 
+def test_matching_does_not_import_fingerprint():
+    # The scoring layer takes fingerprints as planes, as ncc and pce take arrays.
+    path = ROOT / "src" / "prnukit" / "matching.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if "fingerprint" in name.split(".")]
+
+
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal is slow to import and large, and no module of the package needs it.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -242,7 +242,7 @@ def test_whiten_keeps_same_camera_pce():
     for i in range(5):
         probe = luminance(synth_scene(size, size, "texture", seed=200 + i), 300 + i)
         res = residual(probe, denoiser)
-        assert match_patch(probe, res, whitened).pce >= match_patch(probe, res, plain).pce
+        assert match_patch(probe, res, whitened.plane).pce >= match_patch(probe, res, plain.plane).pce
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -294,6 +294,16 @@ def test_load_rejects_corruption(tmp_path):
         non_finite.write_bytes(header + plane.astype("<f8").tobytes())
         with pytest.raises(FormatError, match="non-finite"):
             load_fingerprint(non_finite)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_plane_the_reader_would_refuse(tmp_path, bad):
+    plane = np.zeros((4, 4))
+    plane[1, 2] = bad
+    path = tmp_path / "sub" / "bad.fp"
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        save_fingerprint(Fingerprint(plane), path)
+    assert not path.parent.exists()
 
 
 def test_save_validation(tmp_path):

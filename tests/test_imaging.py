@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prnukit.errors import FormatError, ShapeError
+from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.imaging import (
     as_plane,
     load_image,
@@ -46,6 +48,18 @@ def test_load_save_load_idempotent_8bit(tmp_path):
     once = load_image(tmp_path / "a.pgm")
     save_image(once, tmp_path / "b.pgm", bit_depth=8)
     assert np.array_equal(load_image(tmp_path / "b.pgm"), once)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(4, 5), (4, 5, 3)])
+def test_save_rejects_non_finite_samples(tmp_path, shape, bad):
+    # A NaN would be written as 0 and an inf clipped to full scale or to 0.
+    img = np.full(shape, 0.5)
+    img[2, 3] = bad
+    path = tmp_path / ("out.pgm" if len(shape) == 2 else "out.ppm")
+    with pytest.raises(DegenerateInputError, match=f"^{re.escape(str(path))}: image has non-finite samples$"):
+        save_image(img, path)
+    assert not path.exists()
 
 
 def test_pnm_comments_and_whitespace(tmp_path):

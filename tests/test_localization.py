@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from prnukit import _pool
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
-from prnukit.fingerprint import Fingerprint, residual
+from prnukit.fingerprint import residual
 from prnukit.imaging import load_image, window_origins
 from prnukit.localization import (
     HeatMap,
@@ -39,9 +39,8 @@ def test_grid_shape_formula(h, w, window, stride):
 def test_pce_map_matches_formula_and_detects_pattern():
     rng = np.random.default_rng(0)
     k = rng.normal(0, 0.02, (160, 192))
-    fp = Fingerprint(k)
     image = 0.5 * (1.0 + k) + rng.normal(0, 0.002, k.shape)
-    hm = pce_map(image, fp, window=64, stride=32, denoiser=DenoiserSpec("gaussian", sigma=1.0))
+    hm = pce_map(image, k, window=64, stride=32, denoiser=DenoiserSpec("gaussian", sigma=1.0))
     assert hm.shape == (4, 5)
     assert hm.origin(1, 2) == (64, 32)
     assert np.median(hm.grid) > 50.0
@@ -51,11 +50,11 @@ def test_pce_map_matches_formula_and_detects_pattern():
     for i, j in np.ndindex(rows, cols):
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
-        assert hm.grid[i, j] == match_patch(image[win], res[win], fp, (x, y), peak=(0, 0)).pce
+        assert hm.grid[i, j] == match_patch(image[win], res[win], k, (x, y), peak=(0, 0)).pce
 
 
 def _grid(image, k):
-    return pce_map(image, Fingerprint(k), window=32, stride=16, denoiser=DenoiserSpec("gaussian", sigma=1.0)).grid
+    return pce_map(image, k, window=32, stride=16, denoiser=DenoiserSpec("gaussian", sigma=1.0)).grid
 
 
 def test_pce_map_chunk_boundary_mid_row_keeps_every_bit(monkeypatch):
@@ -83,26 +82,26 @@ def test_pce_map_in_a_daemonic_worker_runs_serially(monkeypatch):
 
 
 def test_pce_map_validation():
-    fp = Fingerprint(np.random.default_rng(1).standard_normal((64, 64)))
+    k = np.random.default_rng(1).standard_normal((64, 64))
     img = np.random.default_rng(2).random((64, 64))
     with pytest.raises(ValueError):
-        pce_map(img, fp, window=128, stride=16)
+        pce_map(img, k, window=128, stride=16)
     with pytest.raises(ValueError):
-        pce_map(img, fp, window=32, stride=0)
+        pce_map(img, k, window=32, stride=0)
     with pytest.raises(ShapeError):
-        pce_map(np.random.default_rng(3).random((32, 64)), fp, window=16, stride=16)
+        pce_map(np.random.default_rng(3).random((32, 64)), k, window=16, stride=16)
     with pytest.raises(ValueError, match="window"):
-        pce_map(img, fp, window=0, stride=16)
+        pce_map(img, k, window=0, stride=16)
     with pytest.raises(ValueError, match="window"):
-        pce_map(img, fp, window=-4, stride=16)
+        pce_map(img, k, window=-4, stride=16)
     with pytest.raises(ValueError, match="stride"):
-        pce_map(img, fp, window=32, stride=0)
+        pce_map(img, k, window=32, stride=0)
 
 
 def test_pce_map_zero_fingerprint_degenerate():
     img = np.random.default_rng(4).random((64, 64))
     with pytest.raises(DegenerateInputError):
-        pce_map(img, Fingerprint(np.zeros((64, 64))), window=32, stride=32)
+        pce_map(img, np.zeros((64, 64)), window=32, stride=32)
 
 
 def test_probability_endpoints():
@@ -171,6 +170,14 @@ def test_render_png_matches_pgm(tmp_path):
     render_map(hm, tmp_path / "m.png")
     render_map(hm, tmp_path / "m.pgm")
     assert np.array_equal(load_image(tmp_path / "m.png"), load_image(tmp_path / "m.pgm"))
+
+
+def test_render_rejects_a_non_finite_map(tmp_path):
+    grid = np.full((3, 3), 0.25)
+    grid[1, 1] = np.nan
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        render_map(HeatMap(grid, 32, 16), tmp_path / "map.pgm")
+    assert not (tmp_path / "map.pgm").exists()
 
 
 def test_render_rejects_unknown_postprocess(tmp_path):

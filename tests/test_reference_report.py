@@ -17,10 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from prnukit import evalharness
-from prnukit.evalharness import ExperimentConfig, read_score_records, run_evaluation
+from prnukit.evalharness import ExperimentConfig, run_evaluation
 
 REFERENCE = Path(__file__).with_name("reference_report.json")
 # Small patches, so the detection numbers are not saturated at AUC and TPR 1.
@@ -59,10 +57,8 @@ def report_numbers(out_dir) -> dict:
         evalharness.correlation_matrix = correlation_matrix
     (matrix,) = matrices
     report = Path(out_dir) / "report"
-    records = [
-        {key: list(value) if isinstance(value, tuple) else value for key, value in vars(rec).items() if key in RECORD_FIELDS}
-        for rec in read_score_records(report / "score_records.jsonl")
-    ]
+    lines = (report / "score_records.jsonl").read_text().splitlines()
+    records = [{key: rec[key] for key in RECORD_FIELDS} for rec in map(json.loads, lines)]
     return {
         "config": CONFIG,
         "summary": json.loads((report / "summary.json").read_text()),
@@ -97,7 +93,6 @@ def test_small_report_matches_the_reference(tmp_path):
     # the reference is not saturated: a detection change can move it
     cross = [row for row in ref["summary"]["detection"] if row["group"] == "cross"]
     assert cross and all(row["auc"] < 1.0 and row["tpr_at_target"] < 1.0 for row in cross)
-    assert np.isfinite(np.array(ref["matrix"]["ncc"])).all()
 
 
 def _write_reference(ref, path) -> None:
