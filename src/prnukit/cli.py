@@ -23,7 +23,7 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import load_image, to_luminance, window_origins
+from .imaging import common_crop_planes, load_image, to_luminance, window_origins
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
 from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
 
@@ -73,13 +73,14 @@ def _score_line(rec: ScoreRecord) -> str:
 def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
-    size = args.patch or img.shape[1]
-    origins = window_origins(img.shape, size) if args.patch else [(0, 0)]  # rejects a bad window before the residual
-    res = residual(img, args.denoiser)
+    shape = common_crop_planes([img, fp.plane])[0].shape  # the rectangle both share, as in the sweep
+    size = args.patch or shape[1]
+    origins = window_origins(shape, size) if args.patch else [(0, 0)]  # rejects a bad window before the residual
+    img, res, k = common_crop_planes([img, residual(img, args.denoiser), fp.plane])
     if args.patch:
-        scores = match_windows(img, res, fp.plane, size, origins, args.exclusion_radius)
+        scores = match_windows(img, res, k, size, origins, args.exclusion_radius)
     else:
-        scores = [match_patch(img, res, fp.plane, (0, 0), args.exclusion_radius)]
+        scores = [match_patch(img, res, k, args.exclusion_radius)]
     records = [
         ScoreRecord(
             **vars(score),

@@ -79,7 +79,8 @@ def p_value(pce_value: float, surface_area: int) -> float:
 
     Under the null the off-peak-normalized peak behaves as a standard
     normal, so sqrt(PCE) ~ |N(0, 1)| and p = erfc(sqrt(max(pce, 0))/sqrt(2))/2.
-    Monotone non-increasing in pce; p = 0.5 at pce = 0.
+    Monotone non-increasing in pce; p = 0.5 at pce = 0. ``surface_area`` is
+    checked but does not yet enter the value (ROADMAP item 4: search correction).
     """
     if surface_area <= 1:
         raise ValueError(f"surface_area must be > 1, got {surface_area}")
@@ -182,33 +183,21 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     return (sx, sy), corr
 
 
-def _check_inside(shape, x0: int, y0: int, pw: int, ph: int, plane: str) -> None:
-    h, w = shape
-    if x0 < 0 or y0 < 0 or x0 + pw > w or y0 + ph > h:
-        raise ValueError(f"patch {pw}x{ph} at ({x0},{y0}) outside {w}x{h} {plane}")
-
-
 def match_patch(
     test_image,
     test_residual,
     fingerprint,
-    origin: tuple = (0, 0),
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
     peak: tuple | None = None,
 ) -> PceScore:
-    """PCE of a test patch against the fingerprint region at ``origin``.
+    """PCE of a test patch against a fingerprint plane of its shape, or ShapeError.
 
-    The residual is correlated against test_image * k restricted to the
-    patch location (multiplicative model: a matching residual carries
-    I * k plus noise).
+    The residual is correlated against test_image * k (multiplicative
+    model: a matching residual carries I * k plus noise).
     """
     img, res = _pair(test_image, test_residual)
-    ph, pw = img.shape
-    x0, y0 = int(origin[0]), int(origin[1])
-    k = as_plane(fingerprint)
-    _check_inside(k.shape, x0, y0, pw, ph, "fingerprint")
-    template = img * k[y0 : y0 + ph, x0 : x0 + pw]
-    return pce(cross_correlate(res, template), exclusion_radius, peak=peak)
+    _, k = _pair(img, fingerprint)
+    return pce(cross_correlate(res, img * k), exclusion_radius, peak=peak)
 
 
 def match_windows(
@@ -222,26 +211,25 @@ def match_windows(
 ) -> list:
     """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit.
 
-    An origin is a window's top-left (x, y) corner in the image and in the
-    fingerprint alike, as :func:`~prnukit.imaging.window_origins` lays them
-    out; a window that leaves either raises ValueError before any is scored.
-    The axis-0 spectra of the residual and of the template are taken once
-    per run of origins on one band of rows, across every column a window can
-    reach. Columns transform independently, so the columns a window slices
-    out of them are the bits of its own spectra.
+    The three planes share one shape (else ShapeError). An origin is a
+    window's top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins`
+    lays them out; a window that leaves the planes raises ValueError before
+    any is scored. The axis-0 spectra of the residual and of the template
+    are taken once per band of rows; columns transform independently, so the
+    columns a window slices out of them are the bits of its own spectra.
     """
     img, res = _pair(test_image, test_residual)
-    kplane = as_plane(fingerprint)
+    _, k = _pair(img, fingerprint)
+    h, w = img.shape
     for x, y in origins:
-        _check_inside(img.shape, x, y, size, size, "image")
-        _check_inside(kplane.shape, x, y, size, size, "fingerprint")
-    w = min(img.shape[1], kplane.shape[1])
+        if x < 0 or y < 0 or x + size > w or y + size > h:
+            raise ValueError(f"patch {size}x{size} at ({x},{y}) outside {w}x{h} image")
     scores, band = [], None
     for x, y in origins:
         if band != y:
             band, rows = y, slice(y, y + size)
-            fres = np.fft.rfft(res[rows, :w], axis=0)
-            ftpl = np.fft.rfft(img[rows, :w] * kplane[rows, :w], axis=0)
+            fres = np.fft.rfft(res[rows], axis=0)
+            ftpl = np.fft.rfft(img[rows] * k[rows], axis=0)
         cols = slice(x, x + size)
         scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius, peak))
     return scores

@@ -98,15 +98,15 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 
 def _defaulted_parameters(path):
-    """{name: (positional parameter names, defaulted parameter names)} of one
-    source file's public top-level functions."""
+    """{name: (positional parameter names, {defaulted parameter name: default
+    expression})} of one source file's public top-level functions."""
     params = {}
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             a = node.args
             positional = [p.arg for p in a.posonlyargs + a.args]
-            defaulted = positional[len(positional) - len(a.defaults) :]
-            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            defaulted = dict(zip(positional[len(positional) - len(a.defaults) :], a.defaults))
+            defaulted.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
             params[node.name] = (positional, defaulted)
     return params
 
@@ -115,11 +115,21 @@ def _callee(node):
     return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 
 
+def _writes_default(arg, default) -> bool:
+    """Whether a call's argument is written as the parameter's own literal default."""
+    try:
+        ast.literal_eval(default)  # raises on None too: a parameter with no default
+    except ValueError:
+        return False
+    return ast.dump(arg) == ast.dump(default)
+
+
 def _arguments_set(path, params):
     """(function, parameter) pairs that one file's calls set: by keyword or by
     position, directly or bound through ``functools.partial``. A ``*`` splat
     may set every positional parameter from its place on, a ``**`` splat
-    every parameter."""
+    every parameter. An argument written as the parameter's literal default
+    sets nothing."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.Call):
@@ -132,8 +142,10 @@ def _arguments_set(path, params):
             continue
         positional, defaulted = params[name]
         starred = any(isinstance(arg, ast.Starred) for arg in args)
-        found |= {(name, p) for p in positional[: len(positional) if starred else len(args)]}
-        found |= {(name, k.arg) for k in node.keywords if k.arg is not None}
+        written = dict(zip(positional, args)) | {k.arg: k.value for k in node.keywords if k.arg is not None}
+        found |= {(name, p) for p, arg in written.items() if not _writes_default(arg, defaulted.get(p))}
+        if starred:
+            found |= {(name, p) for p in positional}
         if any(k.arg is None for k in node.keywords):
             found |= {(name, p) for p in defaulted}
     return found

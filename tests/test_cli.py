@@ -10,10 +10,11 @@ from prnukit import _pool, cli, localization
 from prnukit.cli import build_parser, main
 from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
-from prnukit.fingerprint import Fingerprint, load_fingerprint, save_fingerprint
-from prnukit.imaging import save_image
+from prnukit.fingerprint import Fingerprint, load_fingerprint, residual, save_fingerprint
+from prnukit.imaging import common_crop_planes, load_image, save_image, to_luminance
 from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve, capture, synth_scene, synth_sensor
 from prnukit.localization import load_map_json
+from prnukit.matching import PceScore, match_patch, match_windows
 from test_evalharness import _pin_cores
 
 
@@ -197,6 +198,28 @@ def test_match_json_roundtrips_through_reader(tmp_path, capsys):
     # the printed lines are the lines of a records file
     write_score_records(records, tmp_path / "written.jsonl")
     assert (tmp_path / "written.jsonl").read_text() == out
+
+
+def test_match_crops_an_image_larger_than_its_fingerprint(tmp_path, capsys):
+    # Scored over the top-left 60x64 rectangle the two share, as the sweep scores them.
+    rng = np.random.default_rng(38)
+    sensor = rng.normal(0, 0.02, (72, 80))
+    save_fingerprint(Fingerprint(sensor[:60, :64], "cam", "pipe", 5), tmp_path / "cam.fp")
+    probe = np.clip(0.5 * (1.0 + sensor) + rng.normal(0, 0.002, sensor.shape), 0, 1)
+    save_image(probe, tmp_path / "t.pgm", bit_depth=16)
+    img = to_luminance(load_image(tmp_path / "t.pgm"))
+    img, res, k = common_crop_planes([img, residual(img, DenoiserSpec()), load_fingerprint(tmp_path / "cam.fp").plane])
+    argv = ["match", "--image", str(tmp_path / "t.pgm"), "--fingerprint", str(tmp_path / "cam.fp"), "--json"]
+    for patch, expected in (
+        (0, {(0, 0): match_patch(img, res, k)}),
+        (32, dict(zip([(0, 0), (32, 0)], match_windows(img, res, k, 32, [(0, 0), (32, 0)])))),
+    ):
+        assert main([*argv, "--patch", str(patch)]) == 0
+        (tmp_path / "records.jsonl").write_text(capsys.readouterr().out)
+        records = read_score_records(tmp_path / "records.jsonl")
+        assert {r.origin: PceScore(r.pce, r.peak_value, r.peak, r.p_value) for r in records} == expected
+        assert {r.patch_size for r in records} == {patch or 64}
+        assert min(score.pce for score in expected.values()) > 50.0
 
 
 def test_align_identical_files(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_pce_map_matches_formula_and_detects_pattern():
     for i, j in np.ndindex(rows, cols):
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
-        assert hm.grid[i, j] == match_patch(image[win], res[win], k, (x, y), peak=(0, 0)).pce
+        assert hm.grid[i, j] == match_patch(image[win], res[win], k[win], peak=(0, 0)).pce
 
 
 def _grid(image, k):

@@ -208,10 +208,10 @@ def test_match_patch_bounds_and_degenerate():
     k = rng.standard_normal((64, 64))
     img = rng.random((32, 32))
     res = rng.standard_normal((32, 32))
-    with pytest.raises(ValueError):
-        match_patch(img, res, k, origin=(40, 0))
+    with pytest.raises(ShapeError):
+        match_patch(img, res, k)
     with pytest.raises(DegenerateInputError):
-        match_patch(img, res, np.zeros((64, 64)), origin=(0, 0))
+        match_patch(img, res, np.zeros((32, 32)))
 
 
 def test_match_patch_detects_planted_pattern():
@@ -220,10 +220,10 @@ def test_match_patch_detects_planted_pattern():
     img = np.full((64, 64), 0.6)
     region = k[32 : 32 + 64, 16 : 16 + 64]
     res = img * region + rng.normal(0, 0.004, (64, 64))
-    score = match_patch(img, res, k, origin=(16, 32))
+    score = match_patch(img, res, region)
     assert score.pce > 50.0
     assert score.peak == (0, 0)
-    wrong = match_patch(img, rng.normal(0, 0.01, (64, 64)), k, origin=(16, 32))
+    wrong = match_patch(img, rng.normal(0, 0.01, (64, 64)), region)
     assert wrong.pce < score.pce
 
 
@@ -240,21 +240,33 @@ def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak):
     img = rng.random((34, 50))
     res = img * k[:34, :50] + rng.normal(0, 0.01, img.shape)
     origins = window_origins(img.shape, size, stride)
-    got = match_windows(img, res, k, size, origins, exclusion_radius=3, peak=peak)
+    got = match_windows(img, res, k[:34, :50], size, origins, exclusion_radius=3, peak=peak)
     assert len(got) == len(origins)
     for (x, y), score in zip(origins, got):
         win = (slice(y, y + size), slice(x, x + size))
-        assert score == match_patch(img[win], res[win], k, (x, y), exclusion_radius=3, peak=peak)
+        assert score == match_patch(img[win], res[win], k[win], exclusion_radius=3, peak=peak)
 
 
 @pytest.mark.parametrize("origin", [(90, 10), (10, 90)])
 def test_match_windows_rejects_a_window_leaving_the_image(origin):
-    # Inside the 200x200 fingerprint but across the right or the bottom edge of
-    # the 100x100 image: no score from a window the image only partly fills.
+    # Across the right or the bottom edge of the 100x100 planes: no score from
+    # a window they only partly fill.
     rng = np.random.default_rng(3)
-    k = rng.normal(0, 0.02, (200, 200))
+    k = rng.normal(0, 0.02, (100, 100))
     img = rng.random((100, 100))
-    res = img * k[:100, :100]
+    res = img * k
     x, y = origin
     with pytest.raises(ValueError, match=rf"^patch 32x32 at \({x},{y}\) outside 100x100 image$"):
         match_windows(img, res, k, 32, [(0, 0), origin])
+
+
+@pytest.mark.parametrize("odd", ["residual", "fingerprint"])
+def test_image_scorers_reject_planes_of_different_shapes(odd):
+    rng = np.random.default_rng(4)
+    planes = {"image": rng.random((64, 64)), "residual": rng.normal(0, 0.01, (64, 64))}
+    planes["fingerprint"] = rng.normal(0, 0.02, (64, 64))
+    planes[odd] = planes[odd][:, :60]
+    with pytest.raises(ShapeError, match="differ in shape"):
+        match_patch(*planes.values())
+    with pytest.raises(ShapeError, match="differ in shape"):
+        match_windows(*planes.values(), 32, [(0, 0)])
