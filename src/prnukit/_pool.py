@@ -90,7 +90,7 @@ def ordered_map(fn, units):
     # Imported here so that commands which never fork do not load it.
     import multiprocessing
 
-    # fork, not spawn: workers share the imported numpy/scipy and ``fn``'s
+    # fork, not spawn: workers share the imported numpy and ``fn``'s
     # inputs instead of re-importing or unpickling them, and callers need no
     # __main__ guard. The parent starts no thread of its own.
     fork = multiprocessing.get_context("fork")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from . import _config, wavelets
 from .errors import ShapeError
@@ -93,20 +92,42 @@ def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np
     return wavelets.reconstruct(approx, details, shapes)
 
 
+def _symmetric_taps(ext, kernel, step):
+    """Correlate the 1-D ``ext`` with ``kernel``, whose taps sit ``step`` samples apart: each output
+    is centre * w0, then += (left + right) * w per tap pair outermost first, as scipy.ndimage does."""
+    r = len(kernel) // 2
+    n = len(ext) - 2 * r * step
+    taps = [ext[k * step : k * step + n] for k in range(2 * r + 1)]
+    out = taps[r] * kernel[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(taps[r - j], taps[r + j], out=pair)
+        pair *= kernel[r + j]
+        out += pair
+    return out
+
+
 def gaussian_denoise(plane, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel truncated at +-3 sigma and normalized
-    to sum 1, edges handled by reflection."""
+    to sum 1, edges handled by reflection (d c b a | a b c d), repeated past a short side."""
     p = as_plane(plane)
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     radius = int(math.floor(3.0 * sigma))
-    if radius == 0:
-        return p.copy()
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel /= kernel.sum()
-    out = convolve1d(p, kernel, axis=0, mode="reflect")
-    return convolve1d(out, kernel, axis=1, mode="reflect")
+    h, w = p.shape
+    ext = np.pad(p, ((radius, radius), (0, 0)), mode="symmetric")
+    out = np.empty_like(p)
+    rows = max(1, (1 << 15) // (w + 2 * radius))  # bands of ~32 K samples stay in cache
+    for i in range(0, h, rows):
+        cols = _symmetric_taps(ext[i : i + rows + 2 * radius].ravel(), kernel, w).reshape(-1, w)
+        # The padded rows run as one line; the 2 * radius outputs that straddle two rows are dropped.
+        cols = np.pad(cols, ((0, 0), (radius, radius)), mode="symmetric").ravel()
+        cols = np.pad(_symmetric_taps(cols, kernel, 1), (0, 2 * radius))
+        out[i : i + rows] = cols.reshape(-1, w + 2 * radius)[:, :w]
+    return out
 
 
 def apply_denoiser(plane, spec: DenoiserSpec) -> np.ndarray:

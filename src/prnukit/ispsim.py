@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import correlate
 
 from . import _config
 from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
@@ -189,13 +188,24 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     return np.clip(signal + noise, 0.0, 1.0)
 
 
+def _correlate3(plane: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
+    """scipy.ndimage's ``correlate`` with a 3x3 ``kernel``, bit for bit: its nonzero taps over
+    ``np.pad(plane, 1, mode)``, added in row-major order onto zeros."""
+    h, w = plane.shape
+    ext = np.pad(plane, 1, mode=mode)
+    out = np.zeros_like(plane)
+    for i, j in zip(*np.nonzero(kernel)):
+        out += ext[i : i + h, j : j + w] * kernel[i, j]
+    return out
+
+
 def _demosaic_bilinear(raw: np.ndarray) -> np.ndarray:
     rmask, gmask, bmask = _bayer_masks(raw.shape)
-    # "mirror" reflects about the edge sample, preserving CFA parity.
+    # "reflect" mirrors about the edge sample, preserving CFA parity.
     # With these kernels the mask-weighted normalizer is 4 at every site.
-    r = correlate(raw * rmask, _K_RB, mode="mirror") / 4.0
-    g = correlate(raw * gmask, _K_G, mode="mirror") / 4.0
-    b = correlate(raw * bmask, _K_RB, mode="mirror") / 4.0
+    r = _correlate3(raw * rmask, _K_RB, "reflect") / 4.0
+    g = _correlate3(raw * gmask, _K_G, "reflect") / 4.0
+    b = _correlate3(raw * bmask, _K_RB, "reflect") / 4.0
     return np.stack([r, g, b], axis=2)
 
 
@@ -233,8 +243,8 @@ def _demosaic_edge(raw: np.ndarray) -> np.ndarray:
     est = np.where(dh < dv, est_h, np.where(dv < dh, est_v, 0.5 * (est_h + est_v)))
     green = np.where(gmask, pad, est)
     # Chroma by difference interpolation: own-color sites pass through.
-    r = green + correlate((pad - green) * rmask, _K_RB, mode="constant") / 4.0
-    b = green + correlate((pad - green) * bmask, _K_RB, mode="constant") / 4.0
+    r = green + _correlate3((pad - green) * rmask, _K_RB, "constant") / 4.0
+    b = green + _correlate3((pad - green) * bmask, _K_RB, "constant") / 4.0
     out = np.stack([r, green, b], axis=2)
     return out[2:-2, 2:-2]
 

@@ -14,7 +14,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from . import _pool
 from .denoise import DenoiserSpec
@@ -91,8 +90,9 @@ def render_map(hmap: HeatMap, path, postprocess: str = "none") -> None:
     if postprocess not in ("none", "median3"):
         raise ValueError(f"unknown postprocess {postprocess!r}")
     g = hmap.grid
-    if postprocess == "median3":
-        g = median_filter(g, size=3, mode="nearest")
+    if postprocess == "median3":  # edges repeat the nearest cell
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(g, 1, mode="edge"), (3, 3))
+        g = np.median(windows, axis=(2, 3))
     q = np.floor(np.clip(g, 0.0, 1.0) * 255.0 + 0.5)
     save_image(q / 255.0, path, bit_depth=8)  # q / 255 * 255 rounds back to q
 

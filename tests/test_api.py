@@ -32,11 +32,16 @@ def test_matching_does_not_import_fingerprint():
     assert not [name for name in imported if "fingerprint" in name.split(".")]
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal is slow to import and large, and no module of the package needs it.
+def test_import_leaves_out_scipy():
+    # The package runs on numpy alone; scipy is a test-only oracle, slow to import and large.
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import prnukit.cli, sys; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    for module in ("prnukit", "prnukit.cli"):
+        code = (
+            f"import sys, {module}; "
+            "found = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+            "assert not found, found"
+        )
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
 def _names_used(path):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import median_filter
 
 from prnukit import _pool
 from prnukit.denoise import DenoiserSpec
@@ -147,6 +148,14 @@ def test_render_median3_removes_outlier(tmp_path):
     render_map(HeatMap(grid, 32, 16), path, postprocess="median3")
     img = load_image(path)
     assert np.all(img == img[0, 0])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (25, 25)])
+def test_render_median3_equals_scipy_median_filter(tmp_path, shape):
+    grid = np.random.default_rng(7).integers(0, 256, shape) / 255.0  # each value renders as itself
+    render_map(HeatMap(grid, 32, 16), tmp_path / "ours.pgm", postprocess="median3")
+    render_map(HeatMap(median_filter(grid, size=3, mode="nearest"), 32, 16), tmp_path / "scipy.pgm")
+    assert (tmp_path / "ours.pgm").read_bytes() == (tmp_path / "scipy.pgm").read_bytes()
 
 
 def test_render_quantization_roundtrip(tmp_path):
