@@ -3,9 +3,10 @@
 The wavelet denoiser is the workhorse: a 4-level Daubechies-8 decomposition
 with local Wiener shrinkage. Each detail coefficient is scaled by
 s2 / (s2 + noise_variance), where s2 is the smallest 3, 5, 7 or 9 px window
-mean energy (from one summed-area table per level, zeros outside the subband)
-minus the noise floor, clamped at zero. No step calls BLAS, so residual bits do
-not depend on the BLAS kernel. The Gaussian blur is a baseline for cross-checks.
+mean energy (from one summed-area table per subband, zeros outside it)
+minus the noise floor, clamped at zero. No step calls BLAS or fuses a product
+into a sum, so residual bits depend neither on the BLAS kernel nor on numpy's
+SIMD level. The Gaussian blur is a baseline for cross-checks.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np
         )
     approx, details, shapes = wavelets.decompose(p, _LEVELS)
     for bands in details:
-        s2 = local_signal_variance(bands, noise_variance)
-        bands *= np.divide(s2, s2 + noise_variance, out=s2)
+        for band in bands:
+            s2 = local_signal_variance(band, noise_variance)
+            band *= np.divide(s2, s2 + noise_variance, out=s2)
     return wavelets.reconstruct(approx, details, shapes)
 
 

@@ -7,7 +7,6 @@ from scipy.signal import convolve
 
 from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
 from prnukit.matching import _pair
-from prnukit.wavelets import HIGHPASS, LOWPASS
 
 
 def cross_correlate_direct(a, b) -> np.ndarray:
@@ -68,6 +67,23 @@ def demosaic_edge_direct(raw: np.ndarray) -> np.ndarray:
 # The wavelet transform and Wiener shrink as first written: zero-upsampled
 # synthesis, one 8-tap matmul per filter on either axis, and one
 # ``uniform_filter`` per window size.
+#
+# Daubechies 8-tap scaling filter (4 vanishing moments), refined by spectral
+# factorization to machine-precision orthonormality.
+LOWPASS = np.array(
+    [
+        -0.010597401785069013,
+        0.032883011666885155,
+        0.03084138183556072,
+        -0.18703481171909253,
+        -0.02798376941685889,
+        0.6308807679298593,
+        0.7148465705529155,
+        0.23037781330889637,
+    ]
+)
+# Quadrature-mirror highpass: g[m] = (-1)^m h[L-1-m].
+HIGHPASS = LOWPASS[::-1] * np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
 _LEN = 8
 _PAD = _LEN - 1
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from prnukit.errors import ShapeError
 
 
 def test_filters_orthonormal():
-    h = wavelets.LOWPASS
-    g = wavelets.HIGHPASS
+    h = oracles.LOWPASS
+    g = oracles.HIGHPASS
     assert abs((h * h).sum() - 1.0) < 1e-14
     assert abs(h.sum() - np.sqrt(2)) < 1e-14
     assert abs(g.sum()) < 1e-14
@@ -32,12 +33,52 @@ def test_filters_orthonormal():
         assert abs(np.dot(g[2 * s :], g[: -2 * s])) < 1e-14
 
 
+def test_lifting_steps_multiply_out_to_the_filter_taps():
+    # weights[p, q, 5 + s]: the weight of x_q[m + s] in the lifted x_p[m] (0: x_o, 1: x_e)
+    weights = np.zeros((2, 2, 11))
+    weights[0, 0, 5] = weights[1, 1, 5] = 1.0
+    for dst, terms in wavelets._STEPS:
+        for offset, c in terms:
+            weights[dst] += c * np.roll(weights[1 - dst], offset, axis=-1)
+    # lo[j] = K x_o[j] and hi[j] = x_e[j + 3] / K; the filter form's c[j] reads
+    # x_o[j + s] with tap f[7 - 2s] and x_e[j + s] with tap f[6 - 2s], s = 0..3
+    lo = wavelets._K * weights[0]
+    hi = wavelets._INV_K * np.roll(weights[1], 3, axis=-1)
+    for got, f in ((lo, oracles.LOWPASS), (hi, oracles.HIGHPASS)):
+        want = np.zeros((2, 11))
+        want[:, 5:9] = f[7::-2], f[6::-2]
+        assert np.abs(got - want).max() < 4e-15
+
+
 @settings(max_examples=100)
 @given(st.integers(16, 48), st.integers(16, 48), st.integers(1, 4), st.integers(0, 2**31))
 def test_transform_roundtrip_exact(h, w, levels, seed):
     x = np.random.default_rng(seed).standard_normal((h, w))
     approx, details, shapes = wavelets.decompose(x, levels)
     assert np.abs(wavelets.reconstruct(approx, details, shapes) - x).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (37, 61), (252, 252), (512, 384)])
+def test_transform_coefficients_match_the_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    plane = rng.random(shape)
+    for levels in (1, 2, 3, 4):
+        approx, details, shapes = wavelets.decompose(plane, levels)
+        want_approx, want_details, want_shapes = oracles.wavelet_decompose(plane, levels)
+        assert shapes == want_shapes
+        levels_got = [*details, (approx,)]
+        levels_want = [*want_details, (want_approx,)]
+        for got, want in zip(levels_got, levels_want, strict=True):
+            tol = 1e-13 * max(np.abs(band).max() for band in want)
+            for band, want_band in zip(got, want, strict=True):
+                assert band.shape == want_band.shape
+                assert np.abs(band - want_band).max() < tol
+        # random coefficients in the oracle's subband shapes, through both inverses
+        coeffs = [tuple(rng.standard_normal(band.shape) for band in level) for level in levels_want]
+        got = wavelets.reconstruct(coeffs[-1][0], coeffs[:-1], shapes)
+        want = oracles.wavelet_reconstruct(coeffs[-1][0], coeffs[:-1], shapes)
+        assert got.shape == want.shape == shape
+        assert np.abs(got - want).max() < 1e-13 * max(np.abs(c).max() for level in coeffs for c in level)
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (37, 61), (252, 252), (256, 256), (512, 384)])
@@ -72,19 +113,41 @@ print(hashlib.sha256(r.tobytes() + repr(ncc(r, plane)).encode()).hexdigest())
 """
 
 
+# numpy's AVX-512 and AVX2 dispatch turned off
+_SIMD_OFF = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+
+
 def test_residual_bits_do_not_depend_on_the_blas_kernel():
     src = Path(__file__).resolve().parent.parent / "src"
     digests = set()
-    for coretype in (None, "Haswell", "Nehalem", "Sandybridge"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = str(src)
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
+    rejected = False
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = str(src)
+    for extra in ({}, *({"OPENBLAS_CORETYPE": c} for c in ("Haswell", "Nehalem", "Sandybridge")),
+                  {"NPY_DISABLE_CPU_FEATURES": _SIMD_OFF}):
         proc = subprocess.run(
-            [sys.executable, "-c", _RESIDUAL_DIGEST], env=env, capture_output=True, text=True, check=True, timeout=120
+            [sys.executable, "-W", "always::ImportWarning", "-c", _RESIDUAL_DIGEST],
+            env={**base, **extra}, capture_output=True, text=True, check=True, timeout=120,
         )
-        digests.add(proc.stdout.strip())
+        # numpy warns and ignores the setting when it does not dispatch those features
+        if "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            rejected = True
+        else:
+            digests.add(proc.stdout.strip())
     assert len(digests) == 1, digests
+    if rejected:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={_SIMD_OFF!r}; only the BLAS kernels were compared")
+
+
+def test_wavelet_denoise_peak_memory():
+    plane = 0.5 + 0.05 * np.random.default_rng(15).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        wavelet_denoise(plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
 
 
 def test_wavelet_constant_fixpoint():
