@@ -120,14 +120,8 @@ def estimate_from_files(paths, denoiser, saturation_threshold, camera_id, pipeli
     return acc.finish(camera_id, pipeline_id)
 
 
-def estimate_fingerprint(
-    images,
-    residuals,
-    camera_id: str = "",
-    pipeline_id: str = "",
-    saturation_threshold: float | None = None,
-) -> Fingerprint:
-    """Aggregate residuals into a fingerprint estimate.
+def estimate_fingerprint(images, residuals) -> Fingerprint:
+    """Aggregate residuals into a fingerprint estimate, with no saturation cut.
 
     ``images`` and ``residuals`` are equal-length lists of same-size planes;
     see :class:`FingerprintAccumulator` for the sums and their checks.
@@ -136,10 +130,10 @@ def estimate_fingerprint(
         raise ValueError(
             f"got {len(images)} images but {len(residuals)} residuals"
         )
-    acc = FingerprintAccumulator(saturation_threshold)
+    acc = FingerprintAccumulator()
     for im, r in zip(images, residuals):
         acc.add(im, r)
-    return acc.finish(camera_id, pipeline_id)
+    return acc.finish()
 
 
 def zero_mean_rows_cols(plane: np.ndarray) -> np.ndarray:
@@ -183,18 +177,18 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
     if fp.n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {fp.n_sources}")
     for label, value in (("camera", fp.camera_id), ("pipeline", fp.pipeline_id)):
-        if "\n" in value:
-            raise ValueError(f"{label} id must not contain newlines")
+        if "\n" in value or not value.isascii():
+            raise ValueError(f"{label} id {value!r} must be ASCII without newlines")
     h, w = plane.shape
     header = (
         f"width={w}\nheight={h}\ncamera={fp.camera_id}\n"
         f"pipeline={fp.pipeline_id}\nn={fp.n_sources}\n--\n"
-    )
+    ).encode("ascii")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(header.encode("ascii"))
+        fh.write(header)
         fh.write(plane.astype("<f8").tobytes())
 
 

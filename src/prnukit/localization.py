@@ -53,7 +53,7 @@ def pce_map(
     stride: int = DEFAULT_STRIDE,
     denoiser: DenoiserSpec = DenoiserSpec(),
 ) -> HeatMap:
-    """Zero-shift ``match_patch`` PCE of every window against the co-located fingerprint region.
+    """PCE at zero shift of every window against the co-located fingerprint region.
 
     The residual is computed once; ``match_windows`` scores one contiguous
     row-major chunk of the ``window_origins`` per usable core, in parallel.
@@ -77,7 +77,7 @@ def probability_map(pmap: HeatMap) -> HeatMap:
     It is not a probability of tampering: a window the fingerprint does not
     match gets a value spread over (0, 0.5], not one near 1.
     """
-    probs = np.vectorize(p_value, otypes=[float])(pmap.grid, pmap.window**2)
+    probs = np.vectorize(p_value, otypes=[float])(pmap.grid)
     return HeatMap(probs, pmap.window, pmap.stride)
 
 

@@ -74,16 +74,15 @@ def signed_shift(index: int, dim: int) -> int:
     return index - dim if index >= (dim + 1) // 2 else index
 
 
-def p_value(pce_value: float, surface_area: int) -> float:
+def p_value(pce_value: float) -> float:
     """One-sided tail probability of a PCE under the no-match null model.
 
     Under the null the off-peak-normalized peak behaves as a standard
     normal, so sqrt(PCE) ~ |N(0, 1)| and p = erfc(sqrt(max(pce, 0))/sqrt(2))/2.
-    Monotone non-increasing in pce; p = 0.5 at pce = 0. ``surface_area`` is
-    checked but does not yet enter the value (ROADMAP item 4: search correction).
+    Monotone non-increasing in pce; p = 0.5 at pce = 0. It is the value of
+    one shift: the search correction (ROADMAP item 4) adds the count of
+    shifts searched, which is 1 for a pinned peak.
     """
-    if surface_area <= 1:
-        raise ValueError(f"surface_area must be > 1, got {surface_area}")
     return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
 
 
@@ -139,7 +138,7 @@ def pce(
         pce=value,
         peak_value=peak_value,
         peak=(signed_shift(px, w), signed_shift(py, h)),
-        p_value=p_value(value, h * w),
+        p_value=p_value(value),
     )
 
 
@@ -188,7 +187,6 @@ def match_patch(
     test_residual,
     fingerprint,
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
-    peak: tuple | None = None,
 ) -> PceScore:
     """PCE of a test patch against a fingerprint plane of its shape, or ShapeError.
 
@@ -197,7 +195,7 @@ def match_patch(
     """
     img, res = _pair(test_image, test_residual)
     _, k = _pair(img, fingerprint)
-    return pce(cross_correlate(res, img * k), exclusion_radius, peak=peak)
+    return pce(cross_correlate(res, img * k), exclusion_radius)
 
 
 def match_windows(
@@ -209,7 +207,8 @@ def match_windows(
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
     peak: tuple | None = None,
 ) -> list:
-    """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit.
+    """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit;
+    a given ``peak`` pins each window's score at that shift, as :func:`pce` does.
 
     The three planes share one shape (else ShapeError). An origin is a
     window's top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins`

@@ -156,18 +156,6 @@ def _arguments_set(path, params):
     return found
 
 
-# Defaulted parameters that only the tests set, kept on purpose.
-_KEPT_DEFAULTS = {
-    # estimate_fingerprint itself only serves the tests and the benchmark's
-    # tracer; it goes with the tracer's list of names (ROADMAP item 1).
-    ("estimate_fingerprint", "camera_id"),
-    ("estimate_fingerprint", "pipeline_id"),
-    ("estimate_fingerprint", "saturation_threshold"),
-    # the tests pin the peak to make match_patch the oracle of match_windows
-    ("match_patch", "peak"),
-}
-
-
 def test_every_defaulted_parameter_is_set_outside_tests():
     # A default that no caller overrides is an option only the tests use.
     modules, files = _caller_files()
@@ -176,4 +164,4 @@ def test_every_defaulted_parameter_is_set_outside_tests():
         params.update(_defaulted_parameters(path))
     found = set().union(*(_arguments_set(path, params) for path in files))
     defaulted = {(name, p) for name, (_, ps) in params.items() for p in ps}
-    assert sorted(defaulted - found) == sorted(_KEPT_DEFAULTS)
+    assert sorted(defaulted - found) == []

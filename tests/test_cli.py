@@ -413,6 +413,10 @@ _MALFORMED = {
     "pipelines[0].sharpen: expected a finite number, got 'nan'": lambda c: c["pipelines"][0].update(sharpen="nan"),
     "saturation_threshold: expected a finite number, got 'nan'": lambda c: c.update(saturation_threshold="nan"),
     "denoiser.noise_variance: expected a finite number, got 'nan'": lambda c: c["denoiser"].update(noise_variance="nan"),
+    # ids name directories and go into ASCII fingerprint headers
+    "camera id 'câm0' must be a non-empty printable ASCII name": lambda c: c.update(cameras=["câm0", "c1"]),
+    "camera id 'c\\nm0' must be a non-empty printable ASCII name": lambda c: c.update(cameras=["c\nm0", "c1"]),
+    "pipelines[0]: pipeline id 'pïpe' must be a non-empty printable ASCII name": lambda c: c["pipelines"][0].update(id="pïpe"),
 }
 
 

@@ -48,7 +48,9 @@ def test_saturation_exclusion():
     bright = np.full((4, 4), 1.0)
     bright[0, 0] = 0.5
     res = np.full((4, 4), 0.2)
-    fp = estimate_fingerprint([bright], [res], saturation_threshold=254 / 255)
+    acc = FingerprintAccumulator(254 / 255)
+    acc.add(bright, res)
+    fp = acc.finish()
     assert fp.plane[0, 0] == pytest.approx(0.4)
     assert np.all(fp.plane.ravel()[1:] == 0.0)  # saturated pixels excluded -> zero
 
@@ -77,8 +79,9 @@ def test_accumulator_errors():
 @pytest.mark.parametrize("threshold", [None, 254 / 255])
 def test_accumulator_splits_match_estimate_fingerprint(threshold):
     rng = np.random.default_rng(7)
-    imgs = [rng.random((12, 10)) for _ in range(7)]
-    res = [rng.standard_normal((12, 10)) for _ in range(7)]
+    imgs = np.array([rng.random((12, 10)) for _ in range(7)])
+    res = np.array([rng.standard_normal((12, 10)) for _ in range(7)])
+    imgs[:, 0, :3] = 1.0  # saturated under the threshold
     full = FingerprintAccumulator(threshold)
     halves = (FingerprintAccumulator(threshold), FingerprintAccumulator(threshold))
     for i, (im, r) in enumerate(zip(imgs, res)):
@@ -87,9 +90,16 @@ def test_accumulator_splits_match_estimate_fingerprint(threshold):
     splits = ((full, slice(None)), (halves[0], slice(0, None, 2)), (halves[1], slice(1, None, 2)))
     for acc, idx in splits:
         got = acc.finish("c", "p")
-        want = estimate_fingerprint(imgs[idx], res[idx], "c", "p", saturation_threshold=threshold)
-        assert np.array_equal(got.plane, want.plane)
-        assert got.n_sources == want.n_sources == len(imgs[idx])
+        # the estimator written out: k = sum(R * I * keep) / sum(I^2 * keep), 0 where nothing is kept
+        keep = imgs[idx] < (np.inf if threshold is None else threshold)
+        num = np.sum(res[idx] * imgs[idx] * keep, axis=0)
+        den = np.sum(imgs[idx] ** 2 * keep, axis=0)
+        want = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+        np.testing.assert_allclose(got.plane, want, rtol=1e-12, atol=0)
+        assert (got.plane == 0.0).sum() == (den == 0.0).sum() == (3 if threshold else 0)
+        assert (got.camera_id, got.pipeline_id, got.n_sources) == ("c", "p", len(imgs[idx]))
+    if threshold is None:  # estimate_fingerprint is the accumulator with no cut
+        assert np.array_equal(full.finish().plane, estimate_fingerprint(list(imgs), list(res)).plane)
 
 
 @settings(max_examples=100)
@@ -303,6 +313,14 @@ def test_save_refuses_a_plane_the_reader_would_refuse(tmp_path, bad):
     path = tmp_path / "sub" / "bad.fp"
     with pytest.raises(DegenerateInputError, match="non-finite"):
         save_fingerprint(Fingerprint(plane), path)
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("field", ["camera_id", "pipeline_id"])
+def test_save_refuses_a_non_ascii_id(tmp_path, field):
+    path = tmp_path / "sub" / "x.fp"
+    with pytest.raises(ValueError, match="café"):
+        save_fingerprint(Fingerprint(np.zeros((2, 2)), **{field: "café"}), path)
     assert not path.parent.exists()
 
 

@@ -22,7 +22,7 @@ from prnukit.localization import (
     render_map,
     save_map_json,
 )
-from prnukit.matching import match_patch, p_value
+from prnukit.matching import cross_correlate, p_value, pce
 
 
 @given(st.integers(16, 300), st.integers(16, 300), st.integers(16, 64), st.integers(1, 40))
@@ -45,13 +45,13 @@ def test_pce_map_matches_formula_and_detects_pattern():
     assert hm.shape == (4, 5)
     assert hm.origin(1, 2) == (64, 32)
     assert np.median(hm.grid) > 50.0
-    # each entry is match_patch's score of that window, pinned at (0, 0)
+    # each entry is match_patch's body on that window, pinned at (0, 0)
     res = residual(image, DenoiserSpec("gaussian", sigma=1.0))
     rows, cols = hm.shape
     for i, j in np.ndindex(rows, cols):
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
-        assert hm.grid[i, j] == match_patch(image[win], res[win], k[win], peak=(0, 0)).pce
+        assert hm.grid[i, j] == pce(cross_correlate(res[win], image[win] * k[win]), peak=(0, 0)).pce
 
 
 def _grid(image, k):
@@ -130,7 +130,7 @@ def test_probability_is_p_value_of_each_window():
     # 1420-1490 is where a vectorized erfc flushes the subnormal tail to 0
     grid = np.concatenate([[-3.0, 0.0], np.random.default_rng(8).uniform(0, 1500, 398)]).reshape(20, 20)
     prob = probability_map(HeatMap(grid, 32, 16))
-    assert np.array_equal(prob.grid, [[p_value(v, 32 * 32) for v in row] for row in grid])
+    assert np.array_equal(prob.grid, [[p_value(v) for v in row] for row in grid])
 
 
 def test_render_constant_half_is_128(tmp_path):
