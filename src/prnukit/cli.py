@@ -17,6 +17,7 @@ from .denoise import DenoiserSpec
 from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation
 from .fingerprint import (
     SATURATION_THRESHOLD,
+    check_header_id,
     clean_fingerprint,
     estimate_from_files,
     load_fingerprint,
@@ -45,6 +46,19 @@ def _parse_saturation(text: str):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number or 'none'")
     return value
+
+
+def _header_id(label: str):
+    """argparse type for an id that ``save_fingerprint`` can write, so a bad one fails before any image loads."""
+
+    def parse(text: str) -> str:
+        try:
+            check_header_id(label, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return parse
 
 
 def cmd_estimate(args) -> int:
@@ -176,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", nargs="+", required=True, help="glob pattern(s)")
     p.add_argument("--out", required=True, help="output fingerprint file")
     p.add_argument("--denoiser", **denoiser)
-    p.add_argument("--camera", default="", help="camera id stored in the header")
-    p.add_argument("--pipeline", default="", help="pipeline id stored in the header")
+    p.add_argument("--camera", type=_header_id("camera"), default="", help="camera id stored in the header")
+    p.add_argument("--pipeline", type=_header_id("pipeline"), default="", help="pipeline id stored in the header")
     p.add_argument("--whiten", action="store_true", help="spectrum-whiten after cleanup")
     p.add_argument(
         "--saturation-threshold",

@@ -169,6 +169,12 @@ def whiten_plane(plane: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_header_id(label: str, value: str) -> None:
+    """ValueError unless ``value`` can go into a fingerprint file's header: ASCII without newlines."""
+    if "\n" in value or not value.isascii():
+        raise ValueError(f"{label} id {value!r} must be ASCII without newlines")
+
+
 def save_fingerprint(fp: Fingerprint, path) -> None:
     """Write the binary fingerprint file (magic, ASCII header, float64 LE payload)."""
     plane = as_plane(fp.plane)
@@ -176,9 +182,8 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
         raise DegenerateInputError(f"{path}: fingerprint plane has non-finite values")
     if fp.n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {fp.n_sources}")
-    for label, value in (("camera", fp.camera_id), ("pipeline", fp.pipeline_id)):
-        if "\n" in value or not value.isascii():
-            raise ValueError(f"{label} id {value!r} must be ASCII without newlines")
+    check_header_id("camera", fp.camera_id)
+    check_header_id("pipeline", fp.pipeline_id)
     h, w = plane.shape
     header = (
         f"width={w}\nheight={h}\ncamera={fp.camera_id}\n"
@@ -220,12 +225,13 @@ def load_fingerprint(path) -> Fingerprint:
         raise FormatError(f"{path}: non-integer header value") from None
     if w < 1 or h < 1 or n < 1:
         raise FormatError(f"{path}: invalid header values")
-    payload = data[sep + 4 :]
-    if len(payload) != w * h * 8:
+    payload = len(data) - (sep + 4)
+    if payload != w * h * 8:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {w * h * 8}"
+            f"{path}: payload is {payload} bytes, header implies {w * h * 8}"
         )
-    plane = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(h, w)
+    # one copy: the float64 plane, converted straight from the file's bytes
+    plane = np.frombuffer(data, dtype="<f8", count=w * h, offset=sep + 4).astype(np.float64).reshape(h, w)
     if not np.isfinite(plane).all():
         raise FormatError(f"{path}: payload has non-finite values")
     return Fingerprint(plane, fields["camera"], fields["pipeline"], n)

@@ -64,10 +64,9 @@ def _read_pnm(data: bytes, name: str):
         raise FormatError(f"{name}: invalid maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
-    payload = data[pos : pos + count * dtype.itemsize]
-    if len(payload) < count * dtype.itemsize:
+    if len(data) - pos < count * dtype.itemsize:
         raise FormatError(f"{name}: truncated pixel data")
-    arr = np.frombuffer(payload, dtype=dtype, count=count).astype(np.float64)
+    arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.float64)
     arr /= maxval
     shape = (height, width) if channels == 1 else (height, width, 3)
     return arr.reshape(shape)

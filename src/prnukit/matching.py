@@ -53,14 +53,21 @@ def ncc(a, b) -> float:
     return float(np.sum(da * db) / (math.sqrt(saa) * math.sqrt(sbb)))
 
 
-def _correlate(fa, fb, shape) -> np.ndarray:
-    """Correlation surface of two ``shape`` planes from their ``np.fft.rfft(plane, axis=0)`` spectra.
+def _cross_power(fa, fb) -> np.ndarray:
+    """Cross-power spectrum of two planes from their ``np.fft.rfft(plane, axis=0)`` spectra.
 
     Zeroing ``fa``'s DC bin removes both planes' means from the product.
     """
-    fa = np.fft.fft(fa, axis=1)
-    fa[0, 0] = 0.0
-    return np.fft.irfftn(np.conj(fa) * np.fft.fft(fb, axis=1), s=shape[::-1], axes=(1, 0))
+    p = np.fft.fft(fa, axis=1)
+    p[0, 0] = 0.0
+    np.conjugate(p, out=p)
+    p *= np.fft.fft(fb, axis=1)
+    return p
+
+
+def _correlate(fa, fb, shape) -> np.ndarray:
+    """Correlation surface of two ``shape`` planes from their ``np.fft.rfft(plane, axis=0)`` spectra."""
+    return np.fft.irfftn(_cross_power(fa, fb), s=shape[::-1], axes=(1, 0))
 
 
 def cross_correlate(a, b) -> np.ndarray:
@@ -100,46 +107,72 @@ def _circular_square_mask(shape: tuple, center: tuple, radius: int) -> np.ndarra
     return mask
 
 
-def pce(
-    surface,
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
-    peak: tuple | None = None,
-) -> PceScore:
-    """Peak-to-correlation-energy of a correlation surface.
-
-    The peak is the maximum-|value| entry (or the pinned ``peak`` shift,
-    (dx, dy), for synchronized analysis). Its sign is carried into the PCE.
-    The off-peak energy excludes the (2r+1)^2 circular neighborhood around
-    the peak; a negative ``exclusion_radius`` raises ValueError.
-    """
+def _check_exclusion(shape, exclusion_radius: int) -> None:
+    """ValueError unless the (2r+1)^2 exclusion zone fits in a ``shape`` surface with room to spare."""
     if exclusion_radius < 0:
         raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
-    s = as_plane(surface)
-    h, w = s.shape
+    h, w = shape
     side = 2 * exclusion_radius + 1
     if h * w <= side * side:
         raise ValueError(
             f"surface {w}x{h} not larger than the {side}x{side} exclusion zone"
         )
-    if peak is None:
-        py, px = (int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
-    else:
-        px, py = int(peak[0]) % w, int(peak[1]) % h
-    peak_value = float(s[py, px])
-    mask = _circular_square_mask(s.shape, (py, px), exclusion_radius)
-    off = s[~mask]
-    energy = float(np.mean(off * off))
-    if energy == 0.0:
-        raise DegenerateInputError("all off-peak correlation values are zero")
+
+
+def _score(peak_value: float, energy: float, px: int, py: int, shape) -> PceScore:
+    """The signed PCE of ``peak_value`` over the off-peak mean energy, peaked at index (py, px)."""
+    if energy <= 0.0:  # zero off-peak values, or a pinned total that rounding left no larger than its block
+        raise DegenerateInputError("off-peak correlation energy is not positive")
     value = math.copysign(peak_value * peak_value / energy, peak_value)
     if peak_value == 0.0:
         value = 0.0
+    h, w = shape
     return PceScore(
         pce=value,
         peak_value=peak_value,
         peak=(signed_shift(px, w), signed_shift(py, h)),
         p_value=p_value(value),
     )
+
+
+def pce(surface, exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS) -> PceScore:
+    """Peak-to-correlation-energy of a correlation surface.
+
+    The peak is the maximum-|value| entry; its sign is carried into the
+    PCE. The off-peak energy excludes the (2r+1)^2 circular neighborhood
+    around the peak; a negative ``exclusion_radius`` raises ValueError.
+    """
+    s = as_plane(surface)
+    _check_exclusion(s.shape, exclusion_radius)
+    py, px = (int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
+    mask = _circular_square_mask(s.shape, (py, px), exclusion_radius)
+    off = s[~mask]
+    return _score(float(s[py, px]), float(np.mean(off * off)), px, py, s.shape)
+
+
+def _pinned_pce(p: np.ndarray, size: int, peak: tuple, exclusion_radius: int) -> PceScore:
+    """:func:`pce`'s score, pinned at ``peak`` (dx, dy), of the ``size``-square surface whose
+    :func:`_cross_power` spectrum is ``p``, computed without forming the surface.
+
+    Parseval gives the surface's total energy from the spectrum, and only the
+    2r+1 columns of the exclusion block go through the axis-0 inverse; a
+    column's values are the surface's own bits. The off-peak energy is the
+    total less the block's; 2r+1 < ``size``, which the precondition ensures.
+    It overwrites ``p``.
+    """
+    r = exclusion_radius
+    offsets = np.arange(-r, r + 1)
+    px, py = int(peak[0]) % size, int(peak[1]) % size
+    cols = np.fft.ifft(p, axis=1)[:, (px + offsets) % size]
+    block = np.fft.irfft(cols, n=size, axis=0)[(py + offsets) % size]
+    # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
+    sq = p.view(np.float64)
+    np.multiply(sq, sq, out=sq)
+    rows = sq.sum(axis=1)
+    rows[1 : (size + 1) // 2] *= 2.0
+    total = float(rows.sum()) / (size * size)
+    energy = (total - float(np.sum(block * block))) / (size * size - block.size)
+    return _score(float(block[r, r]), energy, px, py, (size, size))
 
 
 def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
@@ -208,14 +241,18 @@ def match_windows(
     peak: tuple | None = None,
 ) -> list:
     """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit;
-    a given ``peak`` pins each window's score at that shift, as :func:`pce` does.
+    a given ``peak`` (dx, dy) instead pins each window's score at that shift.
 
     The three planes share one shape (else ShapeError). An origin is a
     window's top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins`
-    lays them out; a window that leaves the planes raises ValueError before
-    any is scored. The axis-0 spectra of the residual and of the template
-    are taken once per band of rows; columns transform independently, so the
-    columns a window slices out of them are the bits of its own spectra.
+    lays them out; a window that leaves the planes, or an exclusion zone that
+    does not fit in a window, raises ValueError before any is scored. The
+    axis-0 spectra of the residual and of the template are taken once per
+    band of rows; columns transform independently, so the columns a window
+    slices out of them are the bits of its own spectra. A pinned score is
+    taken from the window's spectrum (:func:`_pinned_pce`); its peak and peak
+    value are the surface's bits, and its PCE may differ from :func:`pce`'s
+    on the surface by rounding.
     """
     img, res = _pair(test_image, test_residual)
     _, k = _pair(img, fingerprint)
@@ -223,6 +260,7 @@ def match_windows(
     for x, y in origins:
         if x < 0 or y < 0 or x + size > w or y + size > h:
             raise ValueError(f"patch {size}x{size} at ({x},{y}) outside {w}x{h} image")
+    _check_exclusion((size, size), exclusion_radius)
     scores, band = [], None
     for x, y in origins:
         if band != y:
@@ -230,5 +268,8 @@ def match_windows(
             fres = np.fft.rfft(res[rows], axis=0)
             ftpl = np.fft.rfft(img[rows] * k[rows], axis=0)
         cols = slice(x, x + size)
-        scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius, peak))
+        if peak is None:
+            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius))
+        else:
+            scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), size, peak, exclusion_radius))
     return scores

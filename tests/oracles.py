@@ -6,7 +6,7 @@ from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
-from prnukit.matching import _pair
+from prnukit.matching import PceScore, _circular_square_mask, _pair, p_value, signed_shift
 
 
 def cross_correlate_direct(a, b) -> np.ndarray:
@@ -24,6 +24,23 @@ def cross_correlate_direct(a, b) -> np.ndarray:
         for sx in range(w):
             out[sy, sx] = np.sum(da * np.roll(db, (-sy, -sx), axis=(0, 1)))
     return out
+
+
+def pinned_pce(surface, exclusion_radius, peak) -> PceScore:
+    """The PCE of a full correlation surface at the pinned ``peak`` shift (dx, dy).
+
+    The off-peak energy is the mean square of the surface outside the
+    (2r+1)^2 circular neighborhood of the peak, as ``pce`` takes it around a
+    searched peak.
+    """
+    s = np.asarray(surface, dtype=np.float64)
+    h, w = s.shape
+    px, py = int(peak[0]) % w, int(peak[1]) % h
+    peak_value = float(s[py, px])
+    off = s[~_circular_square_mask(s.shape, (py, px), exclusion_radius)]
+    energy = float(np.mean(off * off))
+    value = 0.0 if peak_value == 0.0 else float(np.copysign(peak_value * peak_value / energy, peak_value))
+    return PceScore(value, peak_value, (signed_shift(px, w), signed_shift(py, h)), p_value(value))
 
 
 def demosaic_bilinear_direct(raw: np.ndarray) -> np.ndarray:

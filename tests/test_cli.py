@@ -117,6 +117,22 @@ def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
     assert not (tmp_path / "x.fp").exists()
 
 
+def _never_loaded(*args, **kw):
+    raise AssertionError("the images were loaded before the ids were checked")
+
+
+@pytest.mark.parametrize("flag, value", [("--camera", "café"), ("--pipeline", "pipe\nline")])
+def test_estimate_bad_header_id_is_usage_error_before_any_image_loads(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(cli, "estimate_from_files", _never_loaded)
+    save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"{value!r} must be ASCII without newlines" in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pgm"]
+
+
 def test_estimate_mixed_dims_is_domain_error(tmp_path, capsys):
     save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
     save_image(np.full((32, 64), 0.5), tmp_path / "b.pgm")

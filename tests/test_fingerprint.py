@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from prnukit.fingerprint import (
     zero_mean_rows_cols,
 )
 from prnukit.ispsim import DEFAULT_PIPELINES, capture, develop, synth_scene, synth_sensor
-from prnukit.imaging import to_luminance
+from prnukit.imaging import load_image, save_image, to_luminance
 from prnukit.matching import match_patch, ncc
 
 
@@ -263,6 +265,25 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_fingerprint(path)
     assert np.array_equal(loaded.plane, fp.plane)
     assert (loaded.camera_id, loaded.pipeline_id, loaded.n_sources) == ("camX", "pipeY", 42)
+
+
+@pytest.mark.parametrize("name", ["plane.fp", "plane.ppm"])
+def test_readers_hold_only_the_file_and_the_plane(tmp_path, name):
+    # The payload converts straight from the file's bytes, with no copy of them in between.
+    rng = np.random.default_rng(16)
+    path = tmp_path / name
+    fingerprint = name.endswith(".fp")
+    if fingerprint:
+        save_fingerprint(Fingerprint(rng.normal(0, 0.02, (512, 512)), "c", "p", 1), path)
+    else:
+        save_image(rng.random((512, 512, 3)), path, bit_depth=16)
+    tracemalloc.start()
+    try:
+        plane = load_fingerprint(path).plane if fingerprint else load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + plane.nbytes + 2**19, peak
 
 
 def test_file_layout(tmp_path):

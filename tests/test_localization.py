@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.ndimage import median_filter
 
+from oracles import pinned_pce
 from prnukit import _pool
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
@@ -22,7 +23,7 @@ from prnukit.localization import (
     render_map,
     save_map_json,
 )
-from prnukit.matching import cross_correlate, p_value, pce
+from prnukit.matching import cross_correlate, p_value
 
 
 @given(st.integers(16, 300), st.integers(16, 300), st.integers(16, 64), st.integers(1, 40))
@@ -45,13 +46,15 @@ def test_pce_map_matches_formula_and_detects_pattern():
     assert hm.shape == (4, 5)
     assert hm.origin(1, 2) == (64, 32)
     assert np.median(hm.grid) > 50.0
-    # each entry is match_patch's body on that window, pinned at (0, 0)
+    # each entry is the PCE of match_patch's surface on that window, pinned at (0, 0);
+    # the map takes the total energy by Parseval, so it may round differently
     res = residual(image, DenoiserSpec("gaussian", sigma=1.0))
     rows, cols = hm.shape
     for i, j in np.ndindex(rows, cols):
         x, y = hm.origin(i, j)
         win = (slice(y, y + 64), slice(x, x + 64))
-        assert hm.grid[i, j] == pce(cross_correlate(res[win], image[win] * k[win]), peak=(0, 0)).pce
+        want = pinned_pce(cross_correlate(res[win], image[win] * k[win]), 5, (0, 0))
+        assert hm.grid[i, j] == pytest.approx(want.pce, rel=1e-12)
 
 
 def _grid(image, k):

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from oracles import cross_correlate_direct
+from oracles import cross_correlate_direct, pinned_pce
 from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.imaging import window_origins
 from prnukit.matching import (
@@ -96,9 +96,8 @@ def test_pce_area_precondition():
     with pytest.raises(ValueError):
         pce(np.ones((8, 8)), exclusion_radius=5)
     noise = np.random.default_rng(10).standard_normal((32, 32))
-    for peak in (None, (0, 0)):
-        with pytest.raises(ValueError, match="exclusion_radius"):
-            pce(noise, exclusion_radius=-1, peak=peak)
+    with pytest.raises(ValueError, match="exclusion_radius"):
+        pce(noise, exclusion_radius=-1)
 
 
 @settings(max_examples=100)
@@ -242,10 +241,53 @@ def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak):
     assert len(got) == len(origins)
     for (x, y), score in zip(origins, got):
         win = (slice(y, y + size), slice(x, x + size))
-        # match_patch's body, pinned at the peak match_windows pins
-        assert score == pce(cross_correlate(res[win], img[win] * k[win]), 3, peak=peak)
+        surface = cross_correlate(res[win], img[win] * k[win])  # match_patch's body
         if peak is None:
+            assert score == pce(surface, 3)
             assert score == match_patch(img[win], res[win], k[win], exclusion_radius=3)
+        else:
+            _assert_pinned_score(score, pinned_pce(surface, 3, peak))
+
+
+def _assert_pinned_score(score, want):
+    # The pinned scorer takes the total energy by Parseval, so only the PCE may round differently.
+    assert (score.peak, score.peak_value) == (want.peak, want.peak_value)
+    assert score.pce == pytest.approx(want.pce, rel=1e-12)
+    assert score.p_value == p_value(score.pce)
+
+
+@pytest.mark.parametrize("size", [15, 16])
+@pytest.mark.parametrize("peak", [(0, 0), (-3, 2), (7, -8)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pinned_match_windows_is_the_surface_score_at_every_radius(size, peak, sign):
+    # Odd and even sides, every radius the area precondition allows, shifts
+    # that wrap, and a residual that anti-correlates, giving negative peaks.
+    rng = np.random.default_rng(size)
+    k = rng.normal(0, 0.02, (40, 44))
+    img = rng.random(k.shape)
+    res = sign * img * k + rng.normal(0, 0.01, k.shape)
+    origins = window_origins(img.shape, size, 12)
+    for radius in range(size // 2):
+        got = match_windows(img, res, k, size, origins, radius, peak)
+        for (x, y), score in zip(origins, got):
+            win = (slice(y, y + size), slice(x, x + size))
+            want = pinned_pce(cross_correlate(res[win], img[win] * k[win]), radius, peak)
+            _assert_pinned_score(score, want)
+            if peak == (0, 0):
+                assert np.sign(score.peak_value) == sign
+    with pytest.raises(ValueError, match="not larger than"):
+        match_windows(img, res, k, size, origins, size // 2, peak)
+
+
+@pytest.mark.parametrize("peak", [None, (0, 0)])
+def test_match_windows_checks_the_radius_and_the_energy(peak):
+    rng = np.random.default_rng(12)
+    img = rng.random((32, 32))
+    res = rng.normal(0, 0.01, img.shape)
+    with pytest.raises(ValueError, match="exclusion_radius"):
+        match_windows(img, res, rng.normal(0, 0.02, img.shape), 16, [(0, 0)], -1, peak)
+    with pytest.raises(DegenerateInputError):
+        match_windows(img, res, np.zeros(img.shape), 16, [(0, 0), (16, 16)], 2, peak)
 
 
 @pytest.mark.parametrize("origin", [(90, 10), (10, 90)])
