@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,18 +92,11 @@ def p_value(pce_value: float) -> float:
     return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=16)
-def _circular_square_mask(shape: tuple, center: tuple, radius: int) -> np.ndarray:
-    """Read-only mask of the (2r+1)^2 circular neighborhood of ``center``."""
-    h, w = shape
-    cy, cx = center
-    ry = np.arange(h) - cy
-    rx = np.arange(w) - cx
-    dy = np.minimum(ry % h, (-ry) % h)
-    dx = np.minimum(rx % w, (-rx) % w)
-    mask = (dy[:, None] <= radius) & (dx[None, :] <= radius)
-    mask.flags.writeable = False
-    return mask
+def _around(center: int, radius: int, n: int) -> np.ndarray:
+    """Indices within circular distance ``radius`` of ``center`` on an axis of ``n``, each once."""
+    if 2 * radius + 1 >= n:
+        return np.arange(n)
+    return (center + np.arange(-radius, radius + 1)) % n
 
 
 def _check_exclusion(shape, exclusion_radius: int) -> None:
@@ -119,14 +111,18 @@ def _check_exclusion(shape, exclusion_radius: int) -> None:
         )
 
 
-def _score(peak_value: float, energy: float, px: int, py: int, shape) -> PceScore:
-    """The signed PCE of ``peak_value`` over the off-peak mean energy, peaked at index (py, px)."""
-    if energy <= 0.0:  # zero off-peak values, or a pinned total that rounding left no larger than its block
+def _score(peak_value: float, block: np.ndarray, total: float, px: int, py: int, shape) -> PceScore:
+    """The signed PCE of ``peak_value`` at index (py, px) of a ``shape`` surface whose squares
+    sum to ``total``; the off-peak energy is the total less the exclusion ``block``'s, per value."""
+    if not math.isfinite(total):
+        raise DegenerateInputError("non-finite correlation energy: a plane holds a non-finite value")
+    h, w = shape
+    energy = (total - float(np.sum(block * block))) / (h * w - block.size)
+    if energy <= 0.0:  # zero off-peak values, or a total that rounding left no larger than its block
         raise DegenerateInputError("off-peak correlation energy is not positive")
     value = math.copysign(peak_value * peak_value / energy, peak_value)
     if peak_value == 0.0:
         value = 0.0
-    h, w = shape
     return PceScore(
         pce=value,
         peak_value=peak_value,
@@ -144,10 +140,10 @@ def pce(surface, exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS) -> PceScore:
     """
     s = as_plane(surface)
     _check_exclusion(s.shape, exclusion_radius)
+    h, w = s.shape
     py, px = (int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
-    mask = _circular_square_mask(s.shape, (py, px), exclusion_radius)
-    off = s[~mask]
-    return _score(float(s[py, px]), float(np.mean(off * off)), px, py, s.shape)
+    block = s[np.ix_(_around(py, exclusion_radius, h), _around(px, exclusion_radius, w))]
+    return _score(float(s[py, px]), block, float(np.sum(s * s)), px, py, s.shape)
 
 
 def _pinned_pce(p: np.ndarray, size: int, peak: tuple, exclusion_radius: int) -> PceScore:
@@ -156,23 +152,20 @@ def _pinned_pce(p: np.ndarray, size: int, peak: tuple, exclusion_radius: int) ->
 
     Parseval gives the surface's total energy from the spectrum, and only the
     2r+1 columns of the exclusion block go through the axis-0 inverse; a
-    column's values are the surface's own bits. The off-peak energy is the
-    total less the block's; 2r+1 < ``size``, which the precondition ensures.
-    It overwrites ``p``.
+    column's values are the surface's own bits. 2r+1 < ``size``, which the
+    precondition ensures. It overwrites ``p``.
     """
     r = exclusion_radius
-    offsets = np.arange(-r, r + 1)
     px, py = int(peak[0]) % size, int(peak[1]) % size
-    cols = np.fft.ifft(p, axis=1)[:, (px + offsets) % size]
-    block = np.fft.irfft(cols, n=size, axis=0)[(py + offsets) % size]
+    cols = np.fft.ifft(p, axis=1)[:, _around(px, r, size)]
+    block = np.fft.irfft(cols, n=size, axis=0)[_around(py, r, size)]
     # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
     sq = p.view(np.float64)
     np.multiply(sq, sq, out=sq)
     rows = sq.sum(axis=1)
     rows[1 : (size + 1) // 2] *= 2.0
     total = float(rows.sum()) / (size * size)
-    energy = (total - float(np.sum(block * block))) / (size * size - block.size)
-    return _score(float(block[r, r]), energy, px, py, (size, size))
+    return _score(float(block[r, r]), block, total, px, py, (size, size))
 
 
 def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):

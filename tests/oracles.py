@@ -6,7 +6,7 @@ from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
-from prnukit.matching import PceScore, _circular_square_mask, _pair, p_value, signed_shift
+from prnukit.matching import PceScore, _pair, p_value, signed_shift
 
 
 def cross_correlate_direct(a, b) -> np.ndarray:
@@ -26,16 +26,30 @@ def cross_correlate_direct(a, b) -> np.ndarray:
     return out
 
 
-def pinned_pce(surface, exclusion_radius, peak) -> PceScore:
-    """The PCE of a full correlation surface at the pinned ``peak`` shift (dx, dy).
+def _circular_square_mask(shape, center, radius) -> np.ndarray:
+    """Mask of the (2r+1)^2 circular neighborhood of ``center`` (row, column)."""
+    h, w = shape
+    cy, cx = center
+    ry = np.arange(h) - cy
+    rx = np.arange(w) - cx
+    dy = np.minimum(ry % h, (-ry) % h)
+    dx = np.minimum(rx % w, (-rx) % w)
+    return (dy[:, None] <= radius) & (dx[None, :] <= radius)
+
+
+def pinned_pce(surface, exclusion_radius, peak=None) -> PceScore:
+    """The PCE of a full correlation surface at the pinned ``peak`` shift (dx, dy),
+    or at its maximum-|value| entry when ``peak`` is None.
 
     The off-peak energy is the mean square of the surface outside the
-    (2r+1)^2 circular neighborhood of the peak, as ``pce`` takes it around a
-    searched peak.
+    (2r+1)^2 circular neighborhood of the peak, gathered through a mask.
     """
     s = np.asarray(surface, dtype=np.float64)
     h, w = s.shape
-    px, py = int(peak[0]) % w, int(peak[1]) % h
+    if peak is None:
+        py, px = (int(v) for v in np.unravel_index(np.argmax(np.abs(s)), s.shape))
+    else:
+        px, py = int(peak[0]) % w, int(peak[1]) % h
     peak_value = float(s[py, px])
     off = s[~_circular_square_mask(s.shape, (py, px), exclusion_radius)]
     energy = float(np.mean(off * off))

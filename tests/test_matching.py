@@ -92,6 +92,29 @@ def test_pce_closed_form():
     assert negative.peak_value == -5.0
 
 
+@pytest.mark.parametrize("shape", [(15, 15), (16, 16), (15, 16), (6, 40)])
+@pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pce_is_the_masked_surface_score_at_every_radius(shape, corner, sign):
+    # Odd, even and thin sides, every radius the area precondition allows,
+    # peaks whose exclusion block wraps across both edges, and negative peaks.
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    surface = rng.standard_normal(shape)
+    surface[corner] = sign * 8.0
+    radius = 0
+    while h * w > (2 * radius + 1) ** 2:
+        score = pce(surface, radius)
+        want = pinned_pce(surface, radius)
+        assert (score.peak, score.peak_value) == (want.peak, want.peak_value) == (corner[::-1], sign * 8.0)
+        assert score.pce == pytest.approx(want.pce, rel=1e-12)
+        assert score.p_value == p_value(score.pce)
+        radius += 1
+    assert radius > 2
+    with pytest.raises(ValueError, match="not larger than"):
+        pce(surface, radius)
+
+
 def test_pce_area_precondition():
     with pytest.raises(ValueError):
         pce(np.ones((8, 8)), exclusion_radius=5)
@@ -198,6 +221,16 @@ def test_non_finite_plane_is_degenerate(bad, which):
         ncc(a, b)
     with pytest.raises(DegenerateInputError, match="non-finite"):
         align(a, b, max_shift=4)
+    # The scorers take the plane as a surface, or a and b as the residual and
+    # the fingerprint; only the second window holds the bad sample.
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        pce(a if which == "a" else b)
+    image = np.ones_like(a)
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        match_patch(image, a, b)
+    for peak in (None, (0, 0)):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            match_windows(image, a, b, 32, [(0, 0), (32, 0)], peak=peak)
 
 
 def test_match_patch_bounds_and_degenerate():
