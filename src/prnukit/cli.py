@@ -75,24 +75,23 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _score_line(rec: ScoreRecord) -> str:
+def _score_line(rec: ScoreRecord, shape) -> str:
+    """One text line of ``match``; a record of patch size 0 scores the whole ``shape`` rectangle."""
     dx, dy = rec.peak
     x, y = rec.origin
-    return (
-        f"patch {rec.patch_size} @ ({x},{y}): pce {rec.pce:.4f} "
-        f"peak ({dx},{dy}) p {rec.p_value:.3e}"
-    )
+    window = f"patch {rec.patch_size}" if rec.patch_size else f"image {shape[1]}x{shape[0]}"
+    return f"{window} @ ({x},{y}): pce {rec.pce:.4f} peak ({dx},{dy}) p {rec.p_value:.3e}"
 
 
 def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
     shape = common_crop_planes([img, fp.plane])[0].shape  # the rectangle both share, as in the sweep
-    size = args.patch or shape[1]
-    origins = window_origins(shape, size) if args.patch else [(0, 0)]  # rejects a bad window before the residual
+    # A bad window fails here, before the residual.
+    origins = window_origins(shape, args.patch) if args.patch else [(0, 0)]
     img, res, k = common_crop_planes([img, residual(img, args.denoiser), fp.plane])
     if args.patch:
-        scores = match_windows(img, res, k, size, origins, args.exclusion_radius)
+        scores = match_windows(img, res, k, args.patch, origins, args.exclusion_radius)
     else:
         scores = [match_patch(img, res, k, args.exclusion_radius)]
     records = [
@@ -102,7 +101,7 @@ def cmd_match(args) -> int:
             camera_test="",
             pipeline_est=fp.pipeline_id,
             pipeline_test="",
-            patch_size=size,
+            patch_size=args.patch,  # 0: the whole rectangle
             origin=origin,
             image=str(args.image),
             label="unlabeled",
@@ -110,7 +109,7 @@ def cmd_match(args) -> int:
         for origin, score in zip(origins, scores)
     ]
     for rec in records:
-        print(rec.json_line() if args.json else _score_line(rec))
+        print(rec.json_line() if args.json else _score_line(rec, shape))
     return 0
 
 

@@ -40,7 +40,16 @@ from .fingerprint import (
     save_fingerprint,
 )
 from .imaging import common_crop_planes, load_image, save_image, to_luminance, window_origins
-from .ispsim import DEFAULT_PIPELINES, PipelineConfig, SensorSpec, capture, develop_each, synth_scene, synth_sensor
+from .ispsim import (
+    DEFAULT_PIPELINES,
+    PipelineConfig,
+    SensorSpec,
+    capture,
+    develop_each,
+    output_shape,
+    synth_scene,
+    synth_sensor,
+)
 from .matching import DEFAULT_MAX_SHIFT, align, match_windows
 
 DEFAULT_TARGET_FPR = 0.005
@@ -90,10 +99,9 @@ class ExperimentConfig:
             raise ValueError("need at least two pipelines")
         if self.n_estimation < 1 or self.n_test < 1:
             raise ValueError("n_estimation and n_test must be >= 1")
-        if not self.patch_sizes or min(self.patch_sizes) < 1:
-            raise ValueError(f"patch_sizes must be a non-empty list of sizes >= 1, got {list(self.patch_sizes)}")
-        if self.max_shift < 0:
-            raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
+        sizes = list(self.patch_sizes)
+        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+            raise ValueError(f"patch_sizes must be a non-empty list of distinct sizes >= 1, got {sizes}")
         ids = [p.id for p in self.pipelines]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate pipeline ids in {ids}")
@@ -101,6 +109,18 @@ class ExperimentConfig:
             self.estimation_pipeline = ids[0]
         elif self.estimation_pipeline not in ids:
             raise ValueError(f"estimation pipeline {self.estimation_pipeline!r} not in roster")
+        # Geometry, before anything is written: every pipeline leaves an output, align's bound
+        # holds on the rectangle all outputs share, and the estimation pipeline's output,
+        # which bounds every scored rectangle, holds each window.
+        shapes = {p.id: output_shape(p, (self.sensor.height, self.sensor.width)) for p in self.pipelines}
+        side = min(min(shape) for shape in shapes.values())
+        if not 0 <= self.max_shift < side / 2:
+            raise ValueError(
+                f"max_shift must be in [0, {side}/2) for the outputs' shared rectangle, got {self.max_shift}"
+            )
+        est_side = min(shapes[self.estimation_pipeline])
+        if max(sizes) > est_side:
+            raise ValueError(f"patch_sizes must be at most {est_side}, the estimation pipeline's shorter side, got {sizes}")
 
     to_json = _config.to_json
 

@@ -106,16 +106,14 @@ def load_image(path) -> np.ndarray:
 def save_image(img, path, bit_depth: int = 16) -> None:
     """Write a plane as PGM or an (H, W, 3) image as PPM (binary, big-endian).
 
-    A ``.png`` path takes an 8-bit plane and needs Pillow. A non-finite
-    sample raises :class:`DegenerateInputError` and writes nothing.
+    A ``.png`` path takes an 8-bit plane and needs Pillow. An array with no
+    pixels raises :class:`ShapeError`, and a non-finite sample
+    :class:`DegenerateInputError`; neither writes anything.
     """
     a = np.asarray(img, dtype=np.float64)
-    if a.ndim == 2:
-        magic = b"P5"
-    elif a.ndim == 3 and a.shape[2] == 3:
-        magic = b"P6"
-    else:
+    if a.ndim not in (2, 3) or a.shape[2:] not in ((), (3,)) or 0 in a.shape:
         raise ShapeError(f"cannot save array of shape {a.shape}")
+    magic = b"P5" if a.ndim == 2 else b"P6"
     if bit_depth not in (8, 16):
         raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
     if not np.isfinite(a).all():

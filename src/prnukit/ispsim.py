@@ -282,9 +282,23 @@ def develop_each(raw, configs):
         yield _render(demosaiced[config.demosaic], config)
 
 
+def output_shape(config: PipelineConfig, shape) -> tuple:
+    """The (h, w) of ``config``'s output from an (h, w) ``shape`` sensor: the plane from
+    ``crop_offset`` on, trimmed to even sides. ValueError when that leaves no pixel."""
+    h, w = shape
+    dx, dy = config.crop_offset
+    out_h, out_w = (h - dy) - (h - dy) % 2, (w - dx) - (w - dx) % 2
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"crop_offset must be at most [{w - 2}, {h - 2}] on the {w}x{h} sensor, got {list(config.crop_offset)}"
+            f" in {config.id!r}"
+        )
+    return out_h, out_w
+
+
 def _render(rgb: np.ndarray, config: PipelineConfig) -> np.ndarray:
     """Every step of ``config`` after the demosaic; ``rgb`` is left unchanged."""
-    h, w = rgb.shape[:2]
+    out_h, out_w = output_shape(config, rgb.shape[:2])
     r_gain, b_gain = config.white_balance
     rgb = np.clip(rgb * np.array([r_gain, 1.0, b_gain]), 0.0, 1.0)
     rgb = config.tone.apply(rgb)
@@ -297,10 +311,6 @@ def _render(rgb: np.ndarray, config: PipelineConfig) -> np.ndarray:
             rgb[:, :, c] += config.sharpen * (rgb[:, :, c] - blurred)
     rgb = np.clip(rgb, 0.0, 1.0)
     dx, dy = config.crop_offset
-    if dx >= w or dy >= h:
-        raise ValueError(f"crop_offset {config.crop_offset} exceeds {w}x{h} plane")
-    out_h = (h - dy) - (h - dy) % 2
-    out_w = (w - dx) - (w - dx) % 2
     return rgb[dy : dy + out_h, dx : dx + out_w]
 
 

@@ -146,26 +146,26 @@ def pce(surface, exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS) -> PceScore:
     return _score(float(s[py, px]), block, float(np.sum(s * s)), px, py, s.shape)
 
 
-def _pinned_pce(p: np.ndarray, size: int, peak: tuple, exclusion_radius: int) -> PceScore:
-    """:func:`pce`'s score, pinned at ``peak`` (dx, dy), of the ``size``-square surface whose
+def _pinned_pce(p: np.ndarray, shape, peak: tuple, exclusion_radius: int) -> PceScore:
+    """:func:`pce`'s score, pinned at ``peak`` (dx, dy), of the ``shape`` (h, w) surface whose
     :func:`_cross_power` spectrum is ``p``, computed without forming the surface.
 
-    Parseval gives the surface's total energy from the spectrum, and only the
-    2r+1 columns of the exclusion block go through the axis-0 inverse; a
-    column's values are the surface's own bits. 2r+1 < ``size``, which the
-    precondition ensures. It overwrites ``p``.
+    Parseval gives the total energy from the spectrum, and only the block's
+    columns go through the axis-0 inverse, whose values are the surface's own
+    bits; an axis no longer than the block is taken whole. It overwrites ``p``.
     """
-    r = exclusion_radius
-    px, py = int(peak[0]) % size, int(peak[1]) % size
-    cols = np.fft.ifft(p, axis=1)[:, _around(px, r, size)]
-    block = np.fft.irfft(cols, n=size, axis=0)[_around(py, r, size)]
+    r, (h, w) = exclusion_radius, shape
+    px, py = int(peak[0]) % w, int(peak[1]) % h
+    cols = np.fft.ifft(p, axis=1)[:, _around(px, r, w)]
+    block = np.fft.irfft(cols, n=h, axis=0)[_around(py, r, h)]
     # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
     sq = p.view(np.float64)
     np.multiply(sq, sq, out=sq)
     rows = sq.sum(axis=1)
-    rows[1 : (size + 1) // 2] *= 2.0
-    total = float(rows.sum()) / (size * size)
-    return _score(float(block[r, r]), block, total, px, py, (size, size))
+    rows[1 : (h + 1) // 2] *= 2.0
+    total = float(rows.sum()) / (h * w)
+    peak_value = float(block[r if 2 * r + 1 < h else py, r if 2 * r + 1 < w else px])
+    return _score(peak_value, block, total, px, py, shape)
 
 
 def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
@@ -214,55 +214,54 @@ def match_patch(
     fingerprint,
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
 ) -> PceScore:
-    """PCE of a test patch against a fingerprint plane of its shape, or ShapeError.
-
-    The residual is correlated against test_image * k (multiplicative
-    model: a matching residual carries I * k plus noise).
-    """
-    img, res = _pair(test_image, test_residual)
-    _, k = _pair(img, fingerprint)
-    return pce(cross_correlate(res, img * k), exclusion_radius)
+    """:func:`match_windows`' score of the one window that covers the planes."""
+    img = as_plane(test_image)
+    return match_windows(img, test_residual, fingerprint, img.shape, [(0, 0)], exclusion_radius)[0]
 
 
 def match_windows(
     test_image,
     test_residual,
     fingerprint,
-    size: int,
+    size,
     origins,
     exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
     peak: tuple | None = None,
 ) -> list:
-    """``match_patch``'s score of the ``size``-square window at each of ``origins``, bit for bit;
-    a given ``peak`` (dx, dy) instead pins each window's score at that shift.
+    """The PCE of the ``size`` window at each of ``origins``: searched, or pinned at a given ``peak`` (dx, dy).
 
-    The three planes share one shape (else ShapeError). An origin is a
-    window's top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins`
-    lays them out; a window that leaves the planes, or an exclusion zone that
-    does not fit in a window, raises ValueError before any is scored. The
-    axis-0 spectra of the residual and of the template are taken once per
-    band of rows; columns transform independently, so the columns a window
-    slices out of them are the bits of its own spectra. A pinned score is
-    taken from the window's spectrum (:func:`_pinned_pce`); its peak and peak
-    value are the surface's bits, and its PCE may differ from :func:`pce`'s
-    on the surface by rounding.
+    ``size`` is the windows' (h, w), or an int for a square, as in numpy's
+    ``sliding_window_view``. The three planes share one shape (else
+    ShapeError); a window's residual is correlated against test_image * k,
+    as a matching residual carries I * k plus noise. An origin is a window's
+    top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins` lays
+    them out; a window that leaves the planes, or an exclusion zone that does
+    not fit in a window, raises ValueError before any is scored. The axis-0
+    spectra of the residual and of the template are taken once per band of
+    rows; columns transform independently, so the columns a window slices out
+    of them are the bits of its own spectra. A pinned score is taken from the
+    window's spectrum (:func:`_pinned_pce`); its peak and peak value are the
+    surface's bits, and its PCE may differ from :func:`pce`'s by rounding.
     """
     img, res = _pair(test_image, test_residual)
     _, k = _pair(img, fingerprint)
-    h, w = img.shape
+    shape = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
+    if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
+        raise ValueError(f"size must be an int or an (h, w) pair of ints >= 1, got {size!r}")
+    (sh, sw), (h, w) = shape, img.shape
     for x, y in origins:
-        if x < 0 or y < 0 or x + size > w or y + size > h:
-            raise ValueError(f"patch {size}x{size} at ({x},{y}) outside {w}x{h} image")
-    _check_exclusion((size, size), exclusion_radius)
+        if x < 0 or y < 0 or x + sw > w or y + sh > h:
+            raise ValueError(f"patch {sw}x{sh} at ({x},{y}) outside {w}x{h} image")
+    _check_exclusion(shape, exclusion_radius)
     scores, band = [], None
     for x, y in origins:
         if band != y:
-            band, rows = y, slice(y, y + size)
+            band, rows = y, slice(y, y + sh)
             fres = np.fft.rfft(res[rows], axis=0)
             ftpl = np.fft.rfft(img[rows] * k[rows], axis=0)
-        cols = slice(x, x + size)
+        cols = slice(x, x + sw)
         if peak is None:
-            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], (size, size)), exclusion_radius))
+            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], shape), exclusion_radius))
         else:
-            scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), size, peak, exclusion_radius))
+            scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), shape, peak, exclusion_radius))
     return scores

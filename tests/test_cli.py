@@ -234,7 +234,7 @@ def test_match_crops_an_image_larger_than_its_fingerprint(tmp_path, capsys):
         (tmp_path / "records.jsonl").write_text(capsys.readouterr().out)
         records = read_score_records(tmp_path / "records.jsonl")
         assert {r.origin: PceScore(r.pce, r.peak_value, r.peak, r.p_value) for r in records} == expected
-        assert {r.patch_size for r in records} == {patch or 64}
+        assert {r.patch_size for r in records} == {patch}
         assert min(score.pce for score in expected.values()) > 50.0
 
 
@@ -443,6 +443,31 @@ def test_evaluate_rejects_malformed_config(tmp_path, capsys, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not (tmp_path / "run").exists()
+
+
+# Geometry that no pipeline can run or score, on _tiny_experiment's 64x64 sensor.
+_BAD_GEOMETRY = {
+    # p_b's crop leaves 60x60, so align could search at most 29 px
+    "max_shift must be in [0, 60/2)": lambda c: (c.update(max_shift=30), c["pipelines"][1].update(crop_offset=[4, 4])),
+    "patch_sizes must be at most 64, the estimation pipeline's shorter side, got [100]": lambda c: c.update(patch_sizes=[100]),
+    "crop_offset must be at most [62, 62] on the 64x64 sensor, got [64, 0] in 'p_b'":
+        lambda c: c["pipelines"][1].update(crop_offset=[64, 0]),
+    "crop_offset must be at most [62, 62] on the 64x64 sensor, got [63, 0] in 'p_b'":
+        lambda c: c["pipelines"][1].update(crop_offset=[63, 0]),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("named", list(_BAD_GEOMETRY))
+def test_bad_geometry_exits_1_before_anything_is_written(tmp_path, capsys, command, named):
+    cfg = json.loads(_tiny_experiment(tmp_path).read_text())
+    _BAD_GEOMETRY[named](cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
     assert not (tmp_path / "run").exists()

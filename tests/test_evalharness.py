@@ -504,10 +504,18 @@ def test_experiment_config_validation():
         ({"patch_sizes": []}, "patch_sizes"),
         ({"patch_sizes": [0]}, "patch_sizes"),
         ({"patch_sizes": [128, -32]}, "patch_sizes"),
+        ({"patch_sizes": [32, 32]}, "patch_sizes"),  # would score every window twice
         ({"max_shift": -1}, "max_shift"),
+        # geometry of the default 256x256 sensor: nn_scurve_crop leaves 252x252,
+        # and the estimation pipeline, bl_gamma, all 256x256
+        ({"max_shift": 126}, "max_shift"),
+        ({"patch_sizes": [128, 257]}, "patch_sizes"),
+        ({"pipelines": [{"id": "a"}, {"id": "b", "crop_offset": [255, 0]}]}, "crop_offset"),
     ):
         with pytest.raises(ValueError, match=f"^{named} must be"):
             ExperimentConfig.from_json(obj)
+    # The bounds themselves load; 256 is skipped for nn_scurve_crop's 252x252 images, as documented.
+    assert ExperimentConfig.from_json({"max_shift": 125, "patch_sizes": [256]}).patch_sizes == (256,)
     # ids name directories of the dataset tree
     for kw in (
         {"cameras": ("cam0", "cam0")},

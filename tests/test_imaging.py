@@ -62,6 +62,15 @@ def test_save_rejects_non_finite_samples(tmp_path, shape, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 5, 3), (4, 0, 3)])
+def test_save_rejects_an_array_without_pixels(tmp_path, shape):
+    # A P6 "0 64" header would be written that load_image refuses.
+    path = tmp_path / ("out.pgm" if len(shape) == 2 else "out.ppm")
+    with pytest.raises(ShapeError, match="cannot save array of shape"):
+        save_image(np.zeros(shape), path)
+    assert not path.exists()
+
+
 def test_pnm_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5 # comment\n# another\n 2\t1 \n255\n" + bytes([7, 9]))

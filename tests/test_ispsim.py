@@ -19,6 +19,7 @@ from prnukit.ispsim import (
     capture,
     develop,
     develop_each,
+    output_shape,
     synth_scene,
     synth_sensor,
 )
@@ -185,6 +186,12 @@ def test_develop_validation():
         PipelineConfig("bad", white_balance=(0.0, 1.0))
     with pytest.raises(ValueError):
         PipelineConfig("bad", crop_offset=(-1, 0))
+    for offset in ((63, 0), (0, 64), (100, 100)):  # a crop that leaves one column, or none, of a 64x64 sensor
+        with pytest.raises(ValueError, match=r"^crop_offset must be at most \[62, 62\] on the 64x64 sensor"):
+            develop(np.zeros((64, 64)), PipelineConfig("crop", crop_offset=offset))
+        with pytest.raises(ValueError, match="crop_offset"):
+            output_shape(PipelineConfig("crop", crop_offset=offset), (64, 64))
+    assert output_shape(PipelineConfig("crop", crop_offset=(62, 1)), (64, 64)) == (62, 2)
     with pytest.raises(ValueError):
         ToneCurve("gamma", gamma=0.0)
     with pytest.raises(ValueError):

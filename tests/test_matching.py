@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import cross_correlate_direct, pinned_pce
 from prnukit.errors import DegenerateInputError, ShapeError
@@ -257,29 +257,49 @@ def test_match_patch_detects_planted_pattern():
     assert wrong.pce < score.pce
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**31),
-    st.integers(12, 24),
+    st.integers(12, 24) | st.tuples(st.integers(2, 34), st.integers(2, 50)),
     st.none() | st.integers(4, 16),
-    st.sampled_from([None, (0, 0)]),
+    st.none() | st.sampled_from([(0, 0), (-1, -1), (-1, 0), (0, -1)]) | st.tuples(*[st.integers(-60, 60)] * 2),
+    st.integers(0, 3),
+    st.sampled_from([1.0, -1.0]),
 )
-def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak):
+# A side no longer than the 2r+1 block, peaks pinned on the wrap corners, and anti-correlated residuals.
+@example(seed=1, size=(5, 40), stride=None, peak=(-1, -1), radius=3, sign=-1.0)
+@example(seed=2, size=(30, 3), stride=7, peak=(0, -1), radius=2, sign=1.0)
+@example(seed=3, size=(7, 7), stride=None, peak=None, radius=3, sign=-1.0)
+@example(seed=4, size=(34, 50), stride=None, peak=(-1, 0), radius=3, sign=1.0)
+def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak, radius, sign):
+    sh, sw = (size, size) if isinstance(size, int) else size
+    assume(sh * sw > (2 * radius + 1) ** 2)
     rng = np.random.default_rng(seed)
     k = rng.normal(0, 0.02, (40, 56))
     img = rng.random((34, 50))
-    res = img * k[:34, :50] + rng.normal(0, 0.01, img.shape)
-    origins = window_origins(img.shape, size, stride)
-    got = match_windows(img, res, k[:34, :50], size, origins, exclusion_radius=3, peak=peak)
+    res = sign * img * k[:34, :50] + rng.normal(0, 0.01, img.shape)
+    origins = [(x, y) for y in range(0, 35 - sh, stride or sh) for x in range(0, 51 - sw, stride or sw)]
+    got = match_windows(img, res, k[:34, :50], size, origins, radius, peak)
     assert len(got) == len(origins)
+    if isinstance(size, int):
+        assert origins == window_origins(img.shape, size, stride)
+        assert got == match_windows(img, res, k[:34, :50], (size, size), origins, radius, peak)
     for (x, y), score in zip(origins, got):
-        win = (slice(y, y + size), slice(x, x + size))
-        surface = cross_correlate(res[win], img[win] * k[win])  # match_patch's body
+        win = (slice(y, y + sh), slice(x, x + sw))
+        surface = cross_correlate(res[win], img[win] * k[win])  # match_patch's body before it called match_windows
         if peak is None:
-            assert score == pce(surface, 3)
-            assert score == match_patch(img[win], res[win], k[win], exclusion_radius=3)
+            assert score == pce(surface, radius)
+            assert score == match_patch(img[win], res[win], k[win], exclusion_radius=radius)
         else:
-            _assert_pinned_score(score, pinned_pce(surface, 3, peak))
+            _assert_pinned_score(score, pinned_pce(surface, radius, peak))
+
+
+@pytest.mark.parametrize("size", [2.5, 16.0, "16", None, (16,), (16, 16, 1), (16, 16.0), (0, 16), (16, -1), 0])
+def test_match_windows_size_is_an_int_or_a_pair(size):
+    rng = np.random.default_rng(13)
+    img = rng.random((32, 32))
+    with pytest.raises(ValueError, match="^size must be"):
+        match_windows(img, rng.normal(0, 0.01, img.shape), rng.normal(0, 0.02, img.shape), size, [(0, 0)])
 
 
 def _assert_pinned_score(score, want):
