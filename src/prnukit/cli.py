@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .denoise import DenoiserSpec
-from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation
+from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation, score_windows
 from .fingerprint import (
     SATURATION_THRESHOLD,
     check_header_id,
@@ -26,7 +26,7 @@ from .fingerprint import (
 )
 from .imaging import common_crop_planes, load_image, to_luminance, window_origins
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align
 
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
@@ -43,8 +43,8 @@ def _parse_saturation(text: str):
     if text.lower() == "none":
         return None
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number or 'none'")
+    if not (math.isfinite(value) and value > 0):  # at or below 0, no sample would be kept
+        raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number > 0 or 'none'")
     return value
 
 
@@ -87,27 +87,13 @@ def cmd_match(args) -> int:
     img = to_luminance(load_image(args.image))
     fp = load_fingerprint(args.fingerprint)
     shape = common_crop_planes([img, fp.plane])[0].shape  # the rectangle both share, as in the sweep
-    # A bad window fails here, before the residual.
-    origins = window_origins(shape, args.patch) if args.patch else [(0, 0)]
-    img, res, k = common_crop_planes([img, residual(img, args.denoiser), fp.plane])
     if args.patch:
-        scores = match_windows(img, res, k, args.patch, origins, args.exclusion_radius)
-    else:
-        scores = [match_patch(img, res, k, args.exclusion_radius)]
-    records = [
-        ScoreRecord(
-            **vars(score),
-            camera_fp=fp.camera_id,
-            camera_test="",
-            pipeline_est=fp.pipeline_id,
-            pipeline_test="",
-            patch_size=args.patch,  # 0: the whole rectangle
-            origin=origin,
-            image=str(args.image),
-            label="unlabeled",
-        )
-        for origin, score in zip(origins, scores)
-    ]
+        window_origins(shape, args.patch)  # a bad window fails here, before the residual
+    records = score_windows(
+        img, residual(img, args.denoiser), fp.plane, args.patch, args.exclusion_radius,  # patch 0: the whole rectangle
+        camera_fp=fp.camera_id, camera_test="", pipeline_est=fp.pipeline_id, pipeline_test="",
+        image=str(args.image), label="unlabeled",
+    )
     for rec in records:
         print(rec.json_line() if args.json else _score_line(rec, shape))
     return 0

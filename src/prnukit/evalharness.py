@@ -36,10 +36,10 @@ from .fingerprint import (
     Fingerprint,
     clean_fingerprint,
     estimate_from_files,
-    residual,
+    load_residual,
     save_fingerprint,
 )
-from .imaging import common_crop_planes, load_image, save_image, to_luminance, window_origins
+from .imaging import common_crop_planes, save_image, window_origins
 from .ispsim import (
     DEFAULT_PIPELINES,
     PipelineConfig,
@@ -50,7 +50,7 @@ from .ispsim import (
     synth_scene,
     synth_sensor,
 )
-from .matching import DEFAULT_MAX_SHIFT, align, match_windows
+from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -89,6 +89,10 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.saturation_threshold is not None and not self.saturation_threshold > 0:
+            raise ValueError(f"saturation_threshold must be > 0 or null, got {self.saturation_threshold}")
         if len(self.cameras) < 1:
             raise ValueError("need at least one camera")
         for cam in self.cameras:
@@ -379,31 +383,30 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
     cam_test, pid, paths = unit
     records = []
     for path in paths:
-        img = to_luminance(load_image(path))
-        res = residual(img, denoiser)
+        img, res = load_residual(denoiser, path)
         rel = str(path.relative_to(root))
         for cam_fp, k in fingerprints.items():
-            cimg, cres, ck = common_crop_planes([img, res, k])
+            side = min(common_crop_planes([img, k])[0].shape)
             label = "positive" if cam_fp == cam_test else "negative"
             for size in patch_sizes:
-                if size > min(cimg.shape):
-                    continue
-                origins = window_origins(cimg.shape, size)
-                for origin, score in zip(origins, match_windows(cimg, cres, ck, size, origins)):
-                    records.append(
-                        ScoreRecord(
-                            **vars(score),
-                            camera_fp=cam_fp,
-                            camera_test=cam_test,
-                            pipeline_est=estimation_pipeline,
-                            pipeline_test=pid,
-                            patch_size=size,
-                            origin=origin,
-                            image=rel,
-                            label=label,
-                        )
+                if size <= side:
+                    records += score_windows(
+                        img, res, k, size, DEFAULT_EXCLUSION_RADIUS, camera_fp=cam_fp, camera_test=cam_test,
+                        pipeline_est=estimation_pipeline, pipeline_test=pid, image=rel, label=label,
                     )
     return records
+
+
+def score_windows(img, res, fingerprint, size: int, exclusion_radius: int, **fields) -> list:
+    """ScoreRecords, with ``fields``, of the ``size`` windows (0: one window) of the rectangle that a
+    test image, its residual and a fingerprint plane share; the sweep and ``prnukit match`` call it."""
+    img, res, k = common_crop_planes([img, res, fingerprint])
+    origins = window_origins(img.shape, size) if size else [(0, 0)]
+    if size:
+        scores = match_windows(img, res, k, size, origins, exclusion_radius)
+    else:  # once match_patch is deleted: match_windows(..., size or img.shape, ...)
+        scores = [match_patch(img, res, k, exclusion_radius)]
+    return [ScoreRecord(**vars(score), patch_size=size, origin=origin, **fields) for origin, score in zip(origins, scores)]
 
 
 @dataclass(frozen=True)

@@ -97,13 +97,16 @@ class FingerprintAccumulator:
         """The uncleaned estimate over everything added so far."""
         if self.n == 0:
             raise ValueError("need at least one image and one residual")
+        if not (self._den > 0).any():  # k would be all zeros, which no match can score
+            raise DegenerateInputError(f"no sample below the saturation threshold {self.saturation_threshold} carries signal")
         k = np.divide(
             self._num, self._den, out=np.zeros(self._num.shape), where=self._den > 0
         )
         return Fingerprint(k, camera_id, pipeline_id, self.n)
 
 
-def _load_residual(denoiser: DenoiserSpec, path):
+def load_residual(denoiser: DenoiserSpec, path):
+    """The luminance plane of the image file ``path`` and its residual."""
     im = to_luminance(load_image(path))
     return im, residual(im, denoiser)
 
@@ -111,7 +114,7 @@ def _load_residual(denoiser: DenoiserSpec, path):
 def estimate_from_files(paths, denoiser, saturation_threshold, camera_id, pipeline_id) -> Fingerprint:
     """Uncleaned estimate from the image files ``paths``, summed in their order; ShapeError names the file."""
     acc = FingerprintAccumulator(saturation_threshold)
-    with closing(_pool.ordered_map(partial(_load_residual, denoiser), paths)) as pairs:
+    with closing(_pool.ordered_map(partial(load_residual, denoiser), paths)) as pairs:
         for p, (im, res) in zip(paths, pairs):
             try:
                 acc.add(im, res)

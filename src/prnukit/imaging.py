@@ -88,6 +88,14 @@ def _read_png(path: Path):
     raise FormatError(f"{path}: unsupported PNG mode {mode}")
 
 
+def _suffix(path: Path) -> str:
+    """The lower-case suffix of ``path``; FormatError unless it names a format :func:`load_image` reads."""
+    suffix = path.suffix.lower()
+    if suffix not in _PNM_SUFFIXES and suffix != ".png":
+        raise FormatError(f"{path}: unsupported image format {suffix!r}")
+    return suffix
+
+
 def load_image(path) -> np.ndarray:
     """Load an image, scaled to [0, 1] by the format's maximum sample value.
 
@@ -95,21 +103,21 @@ def load_image(path) -> np.ndarray:
     color files.
     """
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix in _PNM_SUFFIXES:
-        return _read_pnm(path.read_bytes(), str(path))
-    if suffix == ".png":
+    if _suffix(path) == ".png":
         return _read_png(path)
-    raise FormatError(f"{path}: unsupported image format {suffix!r}")
+    return _read_pnm(path.read_bytes(), str(path))
 
 
 def save_image(img, path, bit_depth: int = 16) -> None:
     """Write a plane as PGM or an (H, W, 3) image as PPM (binary, big-endian).
 
-    A ``.png`` path takes an 8-bit plane and needs Pillow. An array with no
-    pixels raises :class:`ShapeError`, and a non-finite sample
-    :class:`DegenerateInputError`; neither writes anything.
+    A ``.png`` path takes an 8-bit plane and needs Pillow; a suffix that
+    :func:`load_image` cannot read raises :class:`FormatError`. An array with
+    no pixels raises :class:`ShapeError`, and a non-finite sample
+    :class:`DegenerateInputError`; none of them writes anything.
     """
+    path = Path(path)
+    png = _suffix(path) == ".png"
     a = np.asarray(img, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[2:] not in ((), (3,)) or 0 in a.shape:
         raise ShapeError(f"cannot save array of shape {a.shape}")
@@ -122,9 +130,8 @@ def save_image(img, path, bit_depth: int = 16) -> None:
     q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")
     h, w = a.shape[:2]
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix.lower() == ".png":
+    if png:
         if magic != b"P5" or bit_depth != 8:
             raise FormatError(f"{path}: PNG output takes an 8-bit plane")
         try:

@@ -104,7 +104,7 @@ def test_estimate_zero_matches_is_usage_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])  # at or below 0, no sample would be kept
 def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
     save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
     argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
@@ -114,6 +114,16 @@ def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
         main([*argv, "--saturation-threshold", value])
     assert exc.value.code == 2
     assert "--saturation-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "x.fp").exists()
+
+
+@pytest.mark.parametrize("threshold", ["0.1", "0.5"])
+def test_estimate_with_no_sample_under_the_threshold_exits_1(tmp_path, capsys, threshold):
+    save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
+    argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
+    assert main([*argv, "--saturation-threshold", threshold]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"saturation threshold {threshold} " in err, err
     assert not (tmp_path / "x.fp").exists()
 
 
@@ -323,6 +333,19 @@ def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys, monkeyp
     assert not (tmp_path / "map.pgm").exists()
 
 
+@pytest.mark.parametrize("name", ["map.txt", "map.jpg", "map"])
+def test_localize_to_a_format_load_image_cannot_read_exits_1_writing_nothing(tmp_path, capsys, name):
+    rng = np.random.default_rng(39)
+    save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
+    save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
+    out = tmp_path / "out"
+    argv = ["localize", "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp"), "--window", "32"]
+    assert main([*argv, "--out-map", str(out / name), "--json-map", str(out / "map.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "unsupported image format" in err, err
+    assert not out.exists()
+
+
 def test_match_bad_patch_exits_1_before_the_residual(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "residual", _never_denoised)
     rng = np.random.default_rng(37)
@@ -387,6 +410,39 @@ def test_evaluate_emits_reports(tmp_path, capsys):
         "alignment_shifts.csv",
     ):
         assert (report_dir / name).exists(), name
+
+
+def test_evaluate_with_no_sample_under_the_threshold_names_it(tmp_path, capsys):
+    cfg = json.loads(_tiny_experiment(tmp_path).read_text())
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps({**cfg, "saturation_threshold": 0.05}))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "saturation threshold 0.05 " in err, err
+
+
+def test_match_scores_a_dataset_image_as_the_sweep_does(tmp_path, capsys):
+    # p_b crops 4 px off each leading edge: its 60x60 test images hold one 32x32
+    # window of the rectangle they share with a 64x64 fingerprint, p_a's four.
+    cfg = json.loads(_tiny_experiment(tmp_path).read_text())
+    cfg["pipelines"][1].update(crop_offset=[4, 4])
+    path = tmp_path / "crop.json"
+    path.write_text(json.dumps(cfg))
+    root = tmp_path / "run" / "dataset"
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    sweep = read_score_records(tmp_path / "run" / "report" / "score_records.jsonl")
+    fields = ("pce", "peak_value", "peak", "p_value", "origin", "patch_size")
+    for cam in ("c0", "c1"):
+        fp = tmp_path / f"{cam}.fp"  # as the sweep estimates it, from the estimation pipeline p_a
+        assert main(["estimate", "--images", str(root / "images" / cam / "p_a" / "estimation_*.ppm"), "--out", str(fp)]) == 0
+        for rel, n_windows in (("images/c0/p_a/test_000.ppm", 4), ("images/c1/p_b/test_001.ppm", 1)):
+            capsys.readouterr()
+            assert main(["match", "--image", str(root / rel), "--fingerprint", str(fp), "--patch", "32", "--json"]) == 0
+            (tmp_path / "match.jsonl").write_text(capsys.readouterr().out)
+            matched = read_score_records(tmp_path / "match.jsonl")
+            expected = [r for r in sweep if r.image == rel and r.camera_fp == cam]
+            assert len(matched) == len(expected) == n_windows
+            assert [[getattr(r, f) for f in fields] for r in matched] == [[getattr(r, f) for f in fields] for r in expected]
 
 
 def test_evaluate_worker_error_exits_1_without_leftover_children(tmp_path, capsys, monkeypatch):
@@ -457,6 +513,10 @@ _BAD_GEOMETRY = {
         lambda c: c["pipelines"][1].update(crop_offset=[64, 0]),
     "crop_offset must be at most [62, 62] on the 64x64 sensor, got [63, 0] in 'p_b'":
         lambda c: c["pipelines"][1].update(crop_offset=[63, 0]),
+    # and values no run can use: numpy's seeding refuses a negative seed, and no sample lies under a threshold <= 0
+    "seed must be >= 0, got -1": lambda c: c.update(seed=-1),
+    "saturation_threshold must be > 0 or null, got 0.0": lambda c: c.update(saturation_threshold=0),
+    "saturation_threshold must be > 0 or null, got -1.0": lambda c: c.update(saturation_threshold=-1),
 }
 
 

@@ -506,6 +506,9 @@ def test_experiment_config_validation():
         ({"patch_sizes": [128, -32]}, "patch_sizes"),
         ({"patch_sizes": [32, 32]}, "patch_sizes"),  # would score every window twice
         ({"max_shift": -1}, "max_shift"),
+        ({"seed": -1}, "seed"),
+        ({"saturation_threshold": 0}, "saturation_threshold"),
+        ({"saturation_threshold": -1}, "saturation_threshold"),
         # geometry of the default 256x256 sensor: nn_scurve_crop leaves 252x252,
         # and the estimation pipeline, bl_gamma, all 256x256
         ({"max_shift": 126}, "max_shift"),

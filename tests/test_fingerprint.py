@@ -57,6 +57,15 @@ def test_saturation_exclusion():
     assert np.all(fp.plane.ravel()[1:] == 0.0)  # saturated pixels excluded -> zero
 
 
+@pytest.mark.parametrize("threshold, image", [(0.5, np.full((4, 4), 0.5)), (0.9, np.ones((4, 4))), (None, np.zeros((4, 4)))])
+def test_finish_refuses_an_estimate_no_sample_contributes_to(threshold, image):
+    acc = FingerprintAccumulator(threshold)
+    acc.add(image, np.full((4, 4), 0.1))
+    acc.add(image, np.full((4, 4), 0.2))
+    with pytest.raises(DegenerateInputError, match=f"saturation threshold {threshold} carries"):
+        acc.finish()
+
+
 def test_argument_errors():
     with pytest.raises(ValueError):
         estimate_fingerprint([], [])
