@@ -26,7 +26,7 @@ from .fingerprint import (
 )
 from .imaging import common_crop_planes, load_image, to_luminance, window_origins
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align
+from .matching import DEFAULT_MAX_SHIFT, align
 
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
@@ -42,7 +42,10 @@ def _parse_denoiser(text: str) -> DenoiserSpec:
 def _parse_saturation(text: str):
     if text.lower() == "none":
         return None
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, with the accepted forms named
     if not (math.isfinite(value) and value > 0):  # at or below 0, no sample would be kept
         raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number > 0 or 'none'")
     return value
@@ -90,7 +93,7 @@ def cmd_match(args) -> int:
     if args.patch:
         window_origins(shape, args.patch)  # a bad window fails here, before the residual
     records = score_windows(
-        img, residual(img, args.denoiser), fp.plane, args.patch, args.exclusion_radius,  # patch 0: the whole rectangle
+        img, residual(img, args.denoiser), fp.plane, args.patch,  # patch 0: the whole rectangle
         camera_fp=fp.camera_id, camera_test="", pipeline_est=fp.pipeline_id, pipeline_test="",
         image=str(args.image), label="unlabeled",
     )
@@ -193,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, default=0, help="patch size (0 = whole image)")
     p.add_argument("--json", action="store_true", help="emit JSON records")
     p.add_argument("--denoiser", **denoiser)
-    p.add_argument("--exclusion-radius", type=int, default=DEFAULT_EXCLUSION_RADIUS)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("align", help="recover the relative shift of two fingerprints")

@@ -50,7 +50,7 @@ from .ispsim import (
     synth_scene,
     synth_sensor,
 )
-from .matching import DEFAULT_EXCLUSION_RADIUS, DEFAULT_MAX_SHIFT, align, match_patch, match_windows
+from .matching import DEFAULT_MAX_SHIFT, align, match_patch, match_windows, p_value
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -391,22 +391,26 @@ def _sweep_images(root, fingerprints, estimation_pipeline, patch_sizes, denoiser
             for size in patch_sizes:
                 if size <= side:
                     records += score_windows(
-                        img, res, k, size, DEFAULT_EXCLUSION_RADIUS, camera_fp=cam_fp, camera_test=cam_test,
+                        img, res, k, size, camera_fp=cam_fp, camera_test=cam_test,
                         pipeline_est=estimation_pipeline, pipeline_test=pid, image=rel, label=label,
                     )
     return records
 
 
-def score_windows(img, res, fingerprint, size: int, exclusion_radius: int, **fields) -> list:
+def score_windows(img, res, fingerprint, size: int, **fields) -> list:
     """ScoreRecords, with ``fields``, of the ``size`` windows (0: one window) of the rectangle that a
-    test image, its residual and a fingerprint plane share; the sweep and ``prnukit match`` call it."""
+    test image, its residual and a fingerprint plane share; the sweep and ``prnukit match`` call it.
+    Each record's p-value is the :func:`~prnukit.matching.p_value` of its PCE, set here alone."""
     img, res, k = common_crop_planes([img, res, fingerprint])
     origins = window_origins(img.shape, size) if size else [(0, 0)]
     if size:
-        scores = match_windows(img, res, k, size, origins, exclusion_radius)
+        scores = match_windows(img, res, k, size, origins)
     else:  # once match_patch is deleted: match_windows(..., size or img.shape, ...)
-        scores = [match_patch(img, res, k, exclusion_radius)]
-    return [ScoreRecord(**vars(score), patch_size=size, origin=origin, **fields) for origin, score in zip(origins, scores)]
+        scores = [match_patch(img, res, k)]
+    return [
+        ScoreRecord(**vars(score), p_value=p_value(score.pce), patch_size=size, origin=origin, **fields)
+        for origin, score in zip(origins, scores)
+    ]
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,6 @@ def save_image(img, path, bit_depth: int = 16) -> None:
         raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
     if not np.isfinite(a).all():
         raise DegenerateInputError(f"{path}: image has non-finite samples")
-    maxval = (1 << bit_depth) - 1
-    q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
-    dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")
-    h, w = a.shape[:2]
-    path.parent.mkdir(parents=True, exist_ok=True)
     if png:
         if magic != b"P5" or bit_depth != 8:
             raise FormatError(f"{path}: PNG output takes an 8-bit plane")
@@ -138,6 +133,12 @@ def save_image(img, path, bit_depth: int = 16) -> None:
             from PIL import Image
         except ImportError:
             raise FormatError(f"{path}: PNG support requires Pillow") from None
+    maxval = (1 << bit_depth) - 1
+    q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
+    dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")
+    h, w = a.shape[:2]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if png:
         Image.fromarray(q.astype(dtype)).save(path)
         return
     with open(path, "wb") as fh:

@@ -98,6 +98,9 @@ def render_map(hmap: HeatMap, path, postprocess: str = "none") -> None:
 
 
 def save_map_json(hmap: HeatMap, path) -> None:
+    """Write the map as JSON, making ``path``'s parent directory if need be."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     rows, cols = hmap.grid.shape
     obj = {
         "rows": rows,
@@ -106,7 +109,7 @@ def save_map_json(hmap: HeatMap, path) -> None:
         "stride": hmap.stride,
         "values": [float(v) for v in hmap.grid.ravel()],
     }
-    Path(path).write_text(json.dumps(obj) + "\n")
+    path.write_text(json.dumps(obj) + "\n")
 
 
 def load_map_json(path) -> HeatMap:

@@ -17,18 +17,18 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane, common_crop_planes
 
-DEFAULT_EXCLUSION_RADIUS = 5
+EXCLUSION_RADIUS = 5  # every PCE leaves out the standard 11x11 block around its peak
+_SIDE = 2 * EXCLUSION_RADIUS + 1
 DEFAULT_MAX_SHIFT = 16
 
 
 @dataclass(frozen=True)
 class PceScore:
-    """One detection decision: signed PCE, its peak, and the tail probability."""
+    """One detection decision: signed PCE and its peak; :func:`p_value` gives its tail probability."""
 
     pce: float
     peak_value: float
     peak: tuple  # (dx, dy), signed circular shift
-    p_value: float
 
 
 def _pair(a, b):
@@ -92,23 +92,18 @@ def p_value(pce_value: float) -> float:
     return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
 
 
-def _around(center: int, radius: int, n: int) -> np.ndarray:
-    """Indices within circular distance ``radius`` of ``center`` on an axis of ``n``, each once."""
-    if 2 * radius + 1 >= n:
+def _around(center: int, n: int) -> np.ndarray:
+    """Indices of the exclusion block around ``center`` on an axis of ``n``: all of a short axis, each once."""
+    if _SIDE >= n:
         return np.arange(n)
-    return (center + np.arange(-radius, radius + 1)) % n
+    return (center + np.arange(-EXCLUSION_RADIUS, EXCLUSION_RADIUS + 1)) % n
 
 
-def _check_exclusion(shape, exclusion_radius: int) -> None:
-    """ValueError unless the (2r+1)^2 exclusion zone fits in a ``shape`` surface with room to spare."""
-    if exclusion_radius < 0:
-        raise ValueError(f"exclusion_radius must be >= 0, got {exclusion_radius}")
+def _check_exclusion(shape) -> None:
+    """ValueError unless the exclusion block fits in a ``shape`` surface with room to spare."""
     h, w = shape
-    side = 2 * exclusion_radius + 1
-    if h * w <= side * side:
-        raise ValueError(
-            f"surface {w}x{h} not larger than the {side}x{side} exclusion zone"
-        )
+    if h * w <= _SIDE * _SIDE:
+        raise ValueError(f"surface {w}x{h} not larger than the {_SIDE}x{_SIDE} exclusion zone")
 
 
 def _score(peak_value: float, block: np.ndarray, total: float, px: int, py: int, shape) -> PceScore:
@@ -123,30 +118,25 @@ def _score(peak_value: float, block: np.ndarray, total: float, px: int, py: int,
     value = math.copysign(peak_value * peak_value / energy, peak_value)
     if peak_value == 0.0:
         value = 0.0
-    return PceScore(
-        pce=value,
-        peak_value=peak_value,
-        peak=(signed_shift(px, w), signed_shift(py, h)),
-        p_value=p_value(value),
-    )
+    return PceScore(pce=value, peak_value=peak_value, peak=(signed_shift(px, w), signed_shift(py, h)))
 
 
-def pce(surface, exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS) -> PceScore:
+def pce(surface) -> PceScore:
     """Peak-to-correlation-energy of a correlation surface.
 
     The peak is the maximum-|value| entry; its sign is carried into the
-    PCE. The off-peak energy excludes the (2r+1)^2 circular neighborhood
-    around the peak; a negative ``exclusion_radius`` raises ValueError.
+    PCE. The off-peak energy excludes the 11x11 circular neighborhood
+    around the peak, or the whole of an axis no longer than 11.
     """
     s = as_plane(surface)
-    _check_exclusion(s.shape, exclusion_radius)
+    _check_exclusion(s.shape)
     h, w = s.shape
     py, px = (int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
-    block = s[np.ix_(_around(py, exclusion_radius, h), _around(px, exclusion_radius, w))]
+    block = s[np.ix_(_around(py, h), _around(px, w))]
     return _score(float(s[py, px]), block, float(np.sum(s * s)), px, py, s.shape)
 
 
-def _pinned_pce(p: np.ndarray, shape, peak: tuple, exclusion_radius: int) -> PceScore:
+def _pinned_pce(p: np.ndarray, shape, peak: tuple) -> PceScore:
     """:func:`pce`'s score, pinned at ``peak`` (dx, dy), of the ``shape`` (h, w) surface whose
     :func:`_cross_power` spectrum is ``p``, computed without forming the surface.
 
@@ -154,17 +144,17 @@ def _pinned_pce(p: np.ndarray, shape, peak: tuple, exclusion_radius: int) -> Pce
     columns go through the axis-0 inverse, whose values are the surface's own
     bits; an axis no longer than the block is taken whole. It overwrites ``p``.
     """
-    r, (h, w) = exclusion_radius, shape
+    r, (h, w) = EXCLUSION_RADIUS, shape
     px, py = int(peak[0]) % w, int(peak[1]) % h
-    cols = np.fft.ifft(p, axis=1)[:, _around(px, r, w)]
-    block = np.fft.irfft(cols, n=h, axis=0)[_around(py, r, h)]
+    cols = np.fft.ifft(p, axis=1)[:, _around(px, w)]
+    block = np.fft.irfft(cols, n=h, axis=0)[_around(py, h)]
     # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
     sq = p.view(np.float64)
     np.multiply(sq, sq, out=sq)
     rows = sq.sum(axis=1)
     rows[1 : (h + 1) // 2] *= 2.0
     total = float(rows.sum()) / (h * w)
-    peak_value = float(block[r if 2 * r + 1 < h else py, r if 2 * r + 1 < w else px])
+    peak_value = float(block[r if _SIDE < h else py, r if _SIDE < w else px])
     return _score(peak_value, block, total, px, py, shape)
 
 
@@ -208,15 +198,10 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     return (sx, sy), corr
 
 
-def match_patch(
-    test_image,
-    test_residual,
-    fingerprint,
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
-) -> PceScore:
+def match_patch(test_image, test_residual, fingerprint) -> PceScore:
     """:func:`match_windows`' score of the one window that covers the planes."""
     img = as_plane(test_image)
-    return match_windows(img, test_residual, fingerprint, img.shape, [(0, 0)], exclusion_radius)[0]
+    return match_windows(img, test_residual, fingerprint, img.shape, [(0, 0)])[0]
 
 
 def match_windows(
@@ -225,7 +210,6 @@ def match_windows(
     fingerprint,
     size,
     origins,
-    exclusion_radius: int = DEFAULT_EXCLUSION_RADIUS,
     peak: tuple | None = None,
 ) -> list:
     """The PCE of the ``size`` window at each of ``origins``: searched, or pinned at a given ``peak`` (dx, dy).
@@ -235,8 +219,8 @@ def match_windows(
     ShapeError); a window's residual is correlated against test_image * k,
     as a matching residual carries I * k plus noise. An origin is a window's
     top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins` lays
-    them out; a window that leaves the planes, or an exclusion zone that does
-    not fit in a window, raises ValueError before any is scored. The axis-0
+    them out; a window that leaves the planes, or one no larger than the
+    11x11 exclusion block, raises ValueError before any is scored. The axis-0
     spectra of the residual and of the template are taken once per band of
     rows; columns transform independently, so the columns a window slices out
     of them are the bits of its own spectra. A pinned score is taken from the
@@ -252,7 +236,7 @@ def match_windows(
     for x, y in origins:
         if x < 0 or y < 0 or x + sw > w or y + sh > h:
             raise ValueError(f"patch {sw}x{sh} at ({x},{y}) outside {w}x{h} image")
-    _check_exclusion(shape, exclusion_radius)
+    _check_exclusion(shape)
     scores, band = [], None
     for x, y in origins:
         if band != y:
@@ -261,7 +245,7 @@ def match_windows(
             ftpl = np.fft.rfft(img[rows] * k[rows], axis=0)
         cols = slice(x, x + sw)
         if peak is None:
-            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], shape), exclusion_radius))
+            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], shape)))
         else:
-            scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), shape, peak, exclusion_radius))
+            scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), shape, peak))
     return scores

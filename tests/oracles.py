@@ -6,7 +6,7 @@ from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
-from prnukit.matching import PceScore, _pair, p_value, signed_shift
+from prnukit.matching import PceScore, _pair, signed_shift
 
 
 def cross_correlate_direct(a, b) -> np.ndarray:
@@ -54,7 +54,7 @@ def pinned_pce(surface, exclusion_radius, peak=None) -> PceScore:
     off = s[~_circular_square_mask(s.shape, (py, px), exclusion_radius)]
     energy = float(np.mean(off * off))
     value = 0.0 if peak_value == 0.0 else float(np.copysign(peak_value * peak_value / energy, peak_value))
-    return PceScore(value, peak_value, (signed_shift(px, w), signed_shift(py, h)), p_value(value))
+    return PceScore(value, peak_value, (signed_shift(px, w), signed_shift(py, h)))
 
 
 def demosaic_bilinear_direct(raw: np.ndarray) -> np.ndarray:

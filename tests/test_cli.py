@@ -14,7 +14,7 @@ from prnukit.fingerprint import Fingerprint, load_fingerprint, residual, save_fi
 from prnukit.imaging import common_crop_planes, load_image, save_image, to_luminance
 from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve, capture, synth_scene, synth_sensor
 from prnukit.localization import load_map_json
-from prnukit.matching import PceScore, match_patch, match_windows
+from prnukit.matching import PceScore, match_patch, match_windows, p_value
 from test_evalharness import _pin_cores
 
 
@@ -104,7 +104,7 @@ def test_estimate_zero_matches_is_usage_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])  # at or below 0, no sample would be kept
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])  # at or below 0, no sample would be kept; abc is no number
 def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
     save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
     argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
@@ -113,7 +113,8 @@ def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--saturation-threshold", value])
     assert exc.value.code == 2
-    assert "--saturation-threshold" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--saturation-threshold" in err and f"{value!r}: expected a finite number > 0 or 'none'" in err, err
     assert not (tmp_path / "x.fp").exists()
 
 
@@ -191,8 +192,10 @@ def test_match_reports_pce(tmp_path, capsys):
     assert main(["match", "--image", str(tmp_path / "missing.pgm"), "--fingerprint", str(tmp_path / "cam.fp")]) == 1
     capsys.readouterr()
     argv = ["match", "--image", str(tmp_path / "test.pgm"), "--fingerprint", str(tmp_path / "cam.fp")]
-    assert main([*argv, "--exclusion-radius", "-1"]) == 1
-    assert "exclusion_radius" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the 11x11 exclusion block is fixed
+        main([*argv, "--exclusion-radius", "5"])
+    assert exc.value.code == 2
+    assert "--exclusion-radius" in capsys.readouterr().err
 
 
 def test_match_json_roundtrips_through_reader(tmp_path, capsys):
@@ -243,7 +246,8 @@ def test_match_crops_an_image_larger_than_its_fingerprint(tmp_path, capsys):
         assert main([*argv, "--patch", str(patch)]) == 0
         (tmp_path / "records.jsonl").write_text(capsys.readouterr().out)
         records = read_score_records(tmp_path / "records.jsonl")
-        assert {r.origin: PceScore(r.pce, r.peak_value, r.peak, r.p_value) for r in records} == expected
+        assert {r.origin: PceScore(r.pce, r.peak_value, r.peak) for r in records} == expected
+        assert all(r.p_value == p_value(r.pce) for r in records)
         assert {r.patch_size for r in records} == {patch}
         assert min(score.pce for score in expected.values()) > 50.0
 
@@ -314,6 +318,18 @@ def test_localize_writes_maps(tmp_path, capsys, monkeypatch):
         assert np.all((hm.grid >= 0) & (hm.grid <= 1))
         maps[cores] = ((out / "map.pgm").read_bytes(), (out / "map.json").read_bytes())
     assert maps[1] == maps[2]
+
+
+def test_localize_makes_the_directories_of_both_maps(tmp_path, capsys):
+    rng = np.random.default_rng(40)
+    k = rng.normal(0, 0.02, (64, 64))
+    save_fingerprint(Fingerprint(k, "c", "p", 1), tmp_path / "c.fp")
+    save_image(np.clip(0.5 * (1.0 + k), 0, 1), tmp_path / "img.pgm", bit_depth=16)
+    argv = ["localize", "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp"), "--window", "32"]
+    argv += ["--stride", "32"]
+    out_map, json_map = tmp_path / "a" / "m.pgm", tmp_path / "b" / "m.json"
+    assert main([*argv, "--out-map", str(out_map), "--json-map", str(json_map)]) == 0
+    assert load_image(out_map).shape == load_map_json(json_map).shape == (2, 2)
 
 
 def _never_denoised(*args, **kw):

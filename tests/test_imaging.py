@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -110,12 +111,21 @@ def test_png_16bit_load(tmp_path):
 
 
 def test_png_save_takes_8bit_planes_only(tmp_path):
-    # checked before Pillow is imported, so these fail the same way with or without it
+    # checked before Pillow is imported, so these fail the same way with or without it,
+    # and before the missing directories are made
+    path = tmp_path / "new" / "sub" / "x.png"
     with pytest.raises(FormatError, match="8-bit plane"):
-        save_image(np.zeros((4, 4)), tmp_path / "x.png")  # 16-bit by default
+        save_image(np.zeros((4, 4)), path)  # 16-bit by default
     with pytest.raises(FormatError, match="8-bit plane"):
-        save_image(np.zeros((4, 4, 3)), tmp_path / "x.png", bit_depth=8)
-    assert not (tmp_path / "x.png").exists()
+        save_image(np.zeros((4, 4, 3)), path, bit_depth=8)
+    assert not (tmp_path / "new").exists()
+
+
+def test_png_save_without_pillow_makes_no_directory(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+    with pytest.raises(FormatError, match="requires Pillow"):
+        save_image(np.zeros((4, 4)), tmp_path / "new" / "x.png", bit_depth=8)
+    assert not (tmp_path / "new").exists()
 
 
 def test_luminance_weights():
