@@ -15,12 +15,7 @@ from .fingerprint import (
     save_fingerprint,
     whiten_plane,
 )
-from .imaging import (
-    load_image,
-    save_image,
-    to_luminance,
-    window_origins,
-)
+from .imaging import load_image, save_image, to_luminance
 from .ispsim import (
     DEFAULT_PIPELINES,
     PipelineConfig,
@@ -42,6 +37,7 @@ from .matching import (
     ncc,
     p_value,
     pce,
+    window_origins,
 )
 
 __all__ = [

@@ -24,9 +24,9 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import common_crop_planes, load_image, to_luminance, window_origins
+from .imaging import common_crop_planes, load_image, to_luminance
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
-from .matching import DEFAULT_MAX_SHIFT, align
+from .matching import DEFAULT_MAX_SHIFT, align, window_origins
 
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
@@ -91,7 +91,7 @@ def cmd_match(args) -> int:
     fp = load_fingerprint(args.fingerprint)
     shape = common_crop_planes([img, fp.plane])[0].shape  # the rectangle both share, as in the sweep
     if args.patch:
-        window_origins(shape, args.patch)  # a bad window fails here, before the residual
+        window_origins(shape, args.patch)  # a bad or unscorable window fails here, before the residual
     records = score_windows(
         img, residual(img, args.denoiser), fp.plane, args.patch,  # patch 0: the whole rectangle
         camera_fp=fp.camera_id, camera_test="", pipeline_est=fp.pipeline_id, pipeline_test="",

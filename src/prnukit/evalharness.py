@@ -39,7 +39,7 @@ from .fingerprint import (
     load_residual,
     save_fingerprint,
 )
-from .imaging import common_crop_planes, save_image, window_origins
+from .imaging import common_crop_planes, save_image
 from .ispsim import (
     DEFAULT_PIPELINES,
     PipelineConfig,
@@ -50,7 +50,7 @@ from .ispsim import (
     synth_scene,
     synth_sensor,
 )
-from .matching import DEFAULT_MAX_SHIFT, align, match_patch, match_windows, p_value
+from .matching import DEFAULT_MAX_SHIFT, align, match_windows, p_value, window_origins
 
 DEFAULT_TARGET_FPR = 0.005
 DEFAULT_PATCH_SIZES = (128,)
@@ -104,8 +104,8 @@ class ExperimentConfig:
         if self.n_estimation < 1 or self.n_test < 1:
             raise ValueError("n_estimation and n_test must be >= 1")
         sizes = list(self.patch_sizes)
-        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
-            raise ValueError(f"patch_sizes must be a non-empty list of distinct sizes >= 1, got {sizes}")
+        if not sizes or len(set(sizes)) < len(sizes):
+            raise ValueError(f"patch_sizes must be a non-empty list of distinct sizes, got {sizes}")
         ids = [p.id for p in self.pipelines]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate pipeline ids in {ids}")
@@ -115,16 +115,18 @@ class ExperimentConfig:
             raise ValueError(f"estimation pipeline {self.estimation_pipeline!r} not in roster")
         # Geometry, before anything is written: every pipeline leaves an output, align's bound
         # holds on the rectangle all outputs share, and the estimation pipeline's output,
-        # which bounds every scored rectangle, holds each window.
+        # which bounds every scored rectangle, holds each window that the PCE can score.
         shapes = {p.id: output_shape(p, (self.sensor.height, self.sensor.width)) for p in self.pipelines}
         side = min(min(shape) for shape in shapes.values())
         if not 0 <= self.max_shift < side / 2:
             raise ValueError(
                 f"max_shift must be in [0, {side}/2) for the outputs' shared rectangle, got {self.max_shift}"
             )
-        est_side = min(shapes[self.estimation_pipeline])
-        if max(sizes) > est_side:
-            raise ValueError(f"patch_sizes must be at most {est_side}, the estimation pipeline's shorter side, got {sizes}")
+        for size in sizes:
+            try:
+                window_origins(shapes[self.estimation_pipeline], size)
+            except ValueError as exc:
+                raise ValueError(f"patch_sizes must be scorable windows of the estimation output, got {sizes}: {exc}") from None
 
     to_json = _config.to_json
 
@@ -403,10 +405,7 @@ def score_windows(img, res, fingerprint, size: int, **fields) -> list:
     Each record's p-value is the :func:`~prnukit.matching.p_value` of its PCE, set here alone."""
     img, res, k = common_crop_planes([img, res, fingerprint])
     origins = window_origins(img.shape, size) if size else [(0, 0)]
-    if size:
-        scores = match_windows(img, res, k, size, origins)
-    else:  # once match_patch is deleted: match_windows(..., size or img.shape, ...)
-        scores = [match_patch(img, res, k)]
+    scores = match_windows(img, res, k, size or img.shape, origins)
     return [
         ScoreRecord(**vars(score), p_value=p_value(score.pce), patch_size=size, origin=origin, **fields)
         for origin, score in zip(origins, scores)

@@ -1,4 +1,4 @@
-"""Image planes, file I/O, luminance conversion, common cropping and window tiling.
+"""Image planes, file I/O, luminance conversion and common cropping.
 
 A plane is a plain 2-D float64 array with intensities nominally in [0, 1];
 a color image is an (H, W, 3) array. All operations here are pure and never
@@ -165,20 +165,3 @@ def common_crop_planes(planes):
     h = min(p.shape[0] for p in planes)
     w = min(p.shape[1] for p in planes)
     return [p[:h, :w] for p in planes]
-
-
-def window_origins(shape, size: int, stride: int | None = None) -> list:
-    """Row-major (x, y) corners of every size x size window at multiples of ``stride``.
-
-    ``stride=None`` means ``size``: non-overlapping tiles anchored at (0, 0).
-    Windows that would cross the bottom or right edge are left out.
-    """
-    h, w = shape
-    stride = size if stride is None else stride
-    if size < 1:
-        raise ValueError(f"window size must be >= 1, got {size}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if size > min(h, w):
-        raise ValueError(f"window size {size} larger than image {w}x{h}")
-    return [(x, y) for y in range(0, h - size + 1, stride) for x in range(0, w - size + 1, stride)]

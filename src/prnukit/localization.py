@@ -19,8 +19,8 @@ from . import _pool
 from .denoise import DenoiserSpec
 from .errors import FormatError, ShapeError
 from .fingerprint import residual
-from .imaging import as_plane, save_image, window_origins
-from .matching import match_windows, p_value
+from .imaging import as_plane, save_image
+from .matching import match_windows, p_value, window_origins
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 64
@@ -55,13 +55,14 @@ def pce_map(
 ) -> HeatMap:
     """PCE at zero shift of every window against the co-located fingerprint region.
 
-    The residual is computed once; ``match_windows`` scores one contiguous
-    row-major chunk of the ``window_origins`` per usable core, in parallel.
+    The residual is computed once, after :func:`~prnukit.matching.window_origins`
+    has accepted the geometry; ``match_windows`` scores one contiguous
+    row-major chunk of those origins per usable core, in parallel.
     """
     img, k = as_plane(image), as_plane(fingerprint)
     if img.shape != k.shape:
         raise ShapeError(f"image {img.shape} and fingerprint {k.shape} dimensions differ")
-    origins = window_origins(img.shape, window, stride)  # rejects a bad geometry before the residual
+    origins = window_origins(img.shape, window, stride)  # rejects a bad or unscorable window before the residual
     res = residual(img, denoiser)
     score = partial(match_windows, img, res, k, window, peak=(0, 0))
     pces = [s.pce for chunk in _pool.ordered_map(score, _pool.split(origins)) for s in chunk]

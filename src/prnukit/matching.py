@@ -1,4 +1,4 @@
-"""Fingerprint similarity, circular cross-correlation, PCE and alignment.
+"""Fingerprint similarity, circular cross-correlation, PCE, alignment and window tiling.
 
 Shift conventions: a correlation surface S has S[sy, sx] equal to
 sum_x a~(x) * b~(x + s), with circular indexing and a~, b~ mean-removed.
@@ -204,6 +204,26 @@ def match_patch(test_image, test_residual, fingerprint) -> PceScore:
     return match_windows(img, test_residual, fingerprint, img.shape, [(0, 0)])[0]
 
 
+def window_origins(shape, size: int, stride: int | None = None) -> list:
+    """Row-major (x, y) corners of every size x size window at multiples of ``stride``.
+
+    ``stride=None`` means ``size``: non-overlapping tiles anchored at (0, 0).
+    Windows that would cross the bottom or right edge are left out. A size
+    whose window is no larger than the 11x11 exclusion block raises
+    ValueError, as :func:`match_windows` could not score it.
+    """
+    h, w = shape
+    stride = size if stride is None else stride
+    if size < 1:
+        raise ValueError(f"window size must be >= 1, got {size}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if size > min(h, w):
+        raise ValueError(f"window size {size} larger than image {w}x{h}")
+    _check_exclusion((size, size))
+    return [(x, y) for y in range(0, h - size + 1, stride) for x in range(0, w - size + 1, stride)]
+
+
 def match_windows(
     test_image,
     test_residual,
@@ -218,7 +238,7 @@ def match_windows(
     ``sliding_window_view``. The three planes share one shape (else
     ShapeError); a window's residual is correlated against test_image * k,
     as a matching residual carries I * k plus noise. An origin is a window's
-    top-left (x, y) corner, as :func:`~prnukit.imaging.window_origins` lays
+    top-left (x, y) corner, as :func:`window_origins` lays
     them out; a window that leaves the planes, or one no larger than the
     11x11 exclusion block, raises ValueError before any is scored. The axis-0
     spectra of the residual and of the template are taken once per band of

@@ -374,6 +374,24 @@ def test_match_bad_patch_exits_1_before_the_residual(tmp_path, capsys, monkeypat
     assert captured.err == "error: window size must be >= 1, got -3\n"
 
 
+@pytest.mark.parametrize("size", [8, 11])
+@pytest.mark.parametrize("command,flag", [("localize", "--window"), ("match", "--patch")])
+def test_window_within_the_exclusion_block_exits_1_before_the_residual(tmp_path, capsys, monkeypatch, size, command, flag):
+    monkeypatch.setattr(localization, "residual", _never_denoised)
+    monkeypatch.setattr(cli, "residual", _never_denoised)
+    rng = np.random.default_rng(41)
+    save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
+    save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
+    argv = [command, "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp"), flag, str(size)]
+    if command == "localize":
+        argv += ["--stride", "4", "--out-map", str(tmp_path / "maps" / "map.pgm")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: surface {size}x{size} not larger than the 11x11 exclusion zone\n"
+    assert not (tmp_path / "maps").exists()
+
+
 def _tiny_experiment(tmp_path):
     pipes = (
         PipelineConfig("p_a", demosaic="bilinear"),
@@ -524,7 +542,13 @@ def test_evaluate_rejects_malformed_config(tmp_path, capsys, named):
 _BAD_GEOMETRY = {
     # p_b's crop leaves 60x60, so align could search at most 29 px
     "max_shift must be in [0, 60/2)": lambda c: (c.update(max_shift=30), c["pipelines"][1].update(crop_offset=[4, 4])),
-    "patch_sizes must be at most 64, the estimation pipeline's shorter side, got [100]": lambda c: c.update(patch_sizes=[100]),
+    "patch_sizes must be scorable windows of the estimation output, got [100]: window size 100 larger than image 64x64":
+        lambda c: c.update(patch_sizes=[100]),
+    # no larger than the 11x11 block the PCE leaves out around its peak
+    "patch_sizes must be scorable windows of the estimation output, got [11]: "
+    "surface 11x11 not larger than the 11x11 exclusion zone": lambda c: c.update(patch_sizes=[11]),
+    "patch_sizes must be scorable windows of the estimation output, got [8]: "
+    "surface 8x8 not larger than the 11x11 exclusion zone": lambda c: c.update(patch_sizes=[8]),
     "crop_offset must be at most [62, 62] on the 64x64 sensor, got [64, 0] in 'p_b'":
         lambda c: c["pipelines"][1].update(crop_offset=[64, 0]),
     "crop_offset must be at most [62, 62] on the 64x64 sensor, got [63, 0] in 'p_b'":

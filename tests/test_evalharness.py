@@ -505,6 +505,8 @@ def test_experiment_config_validation():
         ({"patch_sizes": [0]}, "patch_sizes"),
         ({"patch_sizes": [128, -32]}, "patch_sizes"),
         ({"patch_sizes": [32, 32]}, "patch_sizes"),  # would score every window twice
+        ({"patch_sizes": [11]}, "patch_sizes"),  # no larger than the 11x11 exclusion block
+        ({"patch_sizes": [128, 8]}, "patch_sizes"),
         ({"max_shift": -1}, "max_shift"),
         ({"seed": -1}, "seed"),
         ({"saturation_threshold": 0}, "saturation_threshold"),

@@ -14,7 +14,7 @@ from prnukit import _pool
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import residual
-from prnukit.imaging import load_image, window_origins
+from prnukit.imaging import load_image
 from prnukit.localization import (
     HeatMap,
     load_map_json,
@@ -23,7 +23,7 @@ from prnukit.localization import (
     render_map,
     save_map_json,
 )
-from prnukit.matching import cross_correlate, p_value
+from prnukit.matching import cross_correlate, p_value, window_origins
 
 
 @given(st.integers(16, 300), st.integers(16, 300), st.integers(16, 64), st.integers(1, 40))
@@ -100,6 +100,8 @@ def test_pce_map_validation():
         pce_map(img, k, window=-4, stride=16)
     with pytest.raises(ValueError, match="stride"):
         pce_map(img, k, window=32, stride=0)
+    with pytest.raises(ValueError, match="exclusion zone"):
+        pce_map(img, k, window=11, stride=4)
 
 
 def test_pce_map_zero_fingerprint_degenerate():

@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import cross_correlate_direct, pinned_pce
 from prnukit.errors import DegenerateInputError, ShapeError
-from prnukit.imaging import window_origins
 from prnukit.matching import (
     align,
     cross_correlate,
@@ -14,6 +13,7 @@ from prnukit.matching import (
     ncc,
     p_value,
     pce,
+    window_origins,
 )
 
 
@@ -357,3 +357,77 @@ def test_image_scorers_reject_planes_of_different_shapes(odd):
         match_patch(*planes.values())
     with pytest.raises(ShapeError, match="differ in shape"):
         match_windows(*planes.values(), 32, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "dims,size,count",
+    [
+        ((512, 512), 128, 16),
+        ((300, 300), 128, 4),
+        ((1024, 1024), 1024, 1),
+        ((1024, 1024), 512, 4),
+        ((1024, 1024), 256, 16),
+        ((1024, 1024), 128, 64),
+    ],
+)
+def test_tile_counts(dims, size, count):
+    assert len(window_origins(dims, size)) == count
+
+
+@pytest.mark.parametrize(
+    "dims,size,stride,count",
+    [
+        ((512, 512), 128, 16, 625),
+        ((512, 512), 128, 64, 49),
+        ((300, 200), 128, 64, 6),
+        ((200, 300), 100, 150, 2),
+    ],
+)
+def test_strided_window_counts(dims, size, stride, count):
+    assert len(window_origins(dims, size, stride)) == count
+
+
+def test_tile_errors():
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), 0)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), -4, 8)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 64), 65)
+    with pytest.raises(ValueError, match="window size"):
+        window_origins((64, 80), 65, 1)
+    with pytest.raises(ValueError, match="stride"):
+        window_origins((64, 64), 8, 0)
+    with pytest.raises(ValueError, match="stride"):
+        window_origins((64, 64), 8, -1)
+    # the smallest window the 11x11 exclusion block leaves room in is 12x12
+    with pytest.raises(ValueError, match="^surface 11x11 not larger than the 11x11 exclusion zone$"):
+        window_origins((64, 64), 11, 4)
+    assert window_origins((12, 12), 12) == [(0, 0)]
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 24), st.none() | st.integers(1, 20))
+def test_tile_partition_property(h, w, size, stride):
+    if size > min(h, w):
+        with pytest.raises(ValueError, match="larger than image"):
+            window_origins((h, w), size, stride)
+        return
+    if size <= 11:  # no larger than the 11x11 exclusion block: no PCE can score it
+        with pytest.raises(ValueError, match="not larger than the 11x11 exclusion zone"):
+            window_origins((h, w), size, stride)
+        return
+    origins = window_origins((h, w), size, stride)
+    step = size if stride is None else stride
+    # row-major: every corner on the step lattice whose window fits, nothing else
+    fits = [(x, y) for y in range(h) for x in range(w) if x + size <= w and y + size <= h]
+    assert origins == [(x, y) for x, y in fits if x % step == 0 and y % step == 0]
+    if stride is None:
+        # non-overlapping tiles cover the top-left rows x cols block exactly once
+        rows, cols = h // size, w // size
+        assert len(origins) == rows * cols
+        seen = np.zeros((h, w), dtype=int)
+        for x, y in origins:
+            seen[y : y + size, x : x + size] += 1
+        covered = seen[: rows * size, : cols * size]
+        assert np.all(covered == 1)
+        assert seen.sum() == covered.size
