@@ -31,10 +31,10 @@ from .matching import DEFAULT_MAX_SHIFT, align, window_origins
 
 def _parse_denoiser(text: str) -> DenoiserSpec:
     """Parse KIND[:VALUE]; VALUE sets the parameter DenoiserSpec.KIND_PARAM names."""
-    kind, _, value = text.partition(":")
+    kind, sep, value = text.partition(":")
     param = DenoiserSpec.KIND_PARAM.get(kind)
     try:
-        return DenoiserSpec.from_json({"kind": kind, param: value} if param and value else {"kind": kind})
+        return DenoiserSpec.from_json({"kind": kind, param: value} if param and sep else {"kind": kind})
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 

@@ -513,18 +513,11 @@ def summarize(records, estimation_pipeline: str) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def report(

@@ -64,15 +64,18 @@ def _cross_power(fa, fb) -> np.ndarray:
     return p
 
 
-def _correlate(fa, fb, shape) -> np.ndarray:
-    """Correlation surface of two ``shape`` planes from their ``np.fft.rfft(plane, axis=0)`` spectra."""
-    return np.fft.irfftn(_cross_power(fa, fb), s=shape[::-1], axes=(1, 0))
+def _surface(p, h, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of the ``h``-row correlation surface whose :func:`_cross_power` spectrum is ``p``.
+
+    The axis-0 inverse takes each column on its own, so selected columns hold the whole surface's bits.
+    """
+    return np.fft.irfft(np.fft.ifft(p, axis=1)[:, cols], n=h, axis=0)
 
 
 def cross_correlate(a, b) -> np.ndarray:
     """Circular cross-correlation surface, computed in the frequency domain."""
     pa, pb = _pair(a, b)
-    return _correlate(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0), pa.shape)
+    return _surface(_cross_power(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0)), pa.shape[0])
 
 
 def signed_shift(index: int, dim: int) -> int:
@@ -141,13 +144,12 @@ def _pinned_pce(p: np.ndarray, shape, peak: tuple) -> PceScore:
     :func:`_cross_power` spectrum is ``p``, computed without forming the surface.
 
     Parseval gives the total energy from the spectrum, and only the block's
-    columns go through the axis-0 inverse, whose values are the surface's own
-    bits; an axis no longer than the block is taken whole. It overwrites ``p``.
+    columns of the surface are formed, by :func:`_surface`; an axis no longer
+    than the block is taken whole. It overwrites ``p``.
     """
     r, (h, w) = EXCLUSION_RADIUS, shape
     px, py = int(peak[0]) % w, int(peak[1]) % h
-    cols = np.fft.ifft(p, axis=1)[:, _around(px, w)]
-    block = np.fft.irfft(cols, n=h, axis=0)[_around(py, h)]
+    block = _surface(p, h, _around(px, w))[_around(py, h)]
     # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
     sq = p.view(np.float64)
     np.multiply(sq, sq, out=sq)
@@ -265,7 +267,7 @@ def match_windows(
             ftpl = np.fft.rfft(img[rows] * k[rows], axis=0)
         cols = slice(x, x + sw)
         if peak is None:
-            scores.append(pce(_correlate(fres[:, cols], ftpl[:, cols], shape)))
+            scores.append(pce(_surface(_cross_power(fres[:, cols], ftpl[:, cols]), sh)))
         else:
             scores.append(_pinned_pce(_cross_power(fres[:, cols], ftpl[:, cols]), shape, peak))
     return scores

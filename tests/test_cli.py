@@ -573,7 +573,8 @@ def test_bad_geometry_exits_1_before_anything_is_written(tmp_path, capsys, comma
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("spec", ["median", "median:3", "wavelet:abc", "gaussian:-1"])
+# an empty VALUE is refused too, not read as the default parameter
+@pytest.mark.parametrize("spec", ["median", "median:3", "wavelet:abc", "gaussian:-1", "gaussian:", "wavelet:"])
 def test_bad_denoiser_is_usage_error(tmp_path, capsys, spec):
     argv = ["match", "--image", str(tmp_path / "missing.pgm"), "--fingerprint", str(tmp_path / "missing.fp")]
     assert build_parser().parse_args(argv).denoiser == DenoiserSpec()
@@ -582,7 +583,9 @@ def test_bad_denoiser_is_usage_error(tmp_path, capsys, spec):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--denoiser", spec])  # exits before the missing image is opened
     assert exc.value.code == 2
-    assert "--denoiser" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    kind = spec.partition(":")[0]
+    assert "--denoiser" in err and DenoiserSpec.KIND_PARAM.get(kind, kind) in err, err
 
 
 def test_usage_error_exit_code():

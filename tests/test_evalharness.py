@@ -250,13 +250,17 @@ def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_confi
         rows = list(csv.reader(fh))
     assert rows[0] == [""] + patch_manifest.pipeline_ids
     assert [r[0] for r in rows[1:]] == patch_manifest.pipeline_ids
+    assert [[float(v) for v in r[1:]] for r in rows[1:]] == matrix.ncc.tolist()
 
+    loaded_summary = json.loads((out / "summary.json").read_text())
+    assert loaded_summary["estimation_pipeline"] == patch_config.estimation_pipeline
     with open(out / "pce_summary.csv") as fh:
         entries = list(csv.DictReader(fh))
-    # recompute-oracle: medians in the summary CSV equal a fresh computation
-    # from the raw records file
+    assert len(entries) == len(loaded_summary["per_pipeline"])
+    # recompute-oracle: the summary CSV carries the values of summary.json, and
+    # both equal a fresh computation from the raw records file
     raw = read_score_records(out / "score_records.jsonl")
-    for e in entries:
+    for e, want in zip(entries, loaded_summary["per_pipeline"]):
         scores = [
             r.pce
             for r in raw
@@ -264,15 +268,36 @@ def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_confi
             and r.pipeline_test == e["pipeline_test"]
             and r.patch_size == int(e["patch_size"])
         ]
-        assert float(e["median"]) == pytest.approx(float(np.median(scores)), rel=1e-9)
-        assert int(e["n"]) == len(scores)
+        fresh = {"median": np.median(scores), "q25": np.percentile(scores, 25), "q75": np.percentile(scores, 75)}
+        for key, value in fresh.items():
+            assert float(e[key]) == want[key] == value, (e, key)
+        assert int(e["n"]) == want["n"] == len(scores)
+
+    # the ROC points are roc() of each group's records: same-pipeline or cross
+    # positives, against the negatives of their patch size
+    est = patch_config.estimation_pipeline
+    want_rows = []
+    for size in sorted({r.patch_size for r in raw}):
+        neg = [r.pce for r in raw if r.label == "negative" and r.patch_size == size]
+        for group in ("same", "cross"):
+            pos = [
+                r.pce
+                for r in raw
+                if r.label == "positive" and r.patch_size == size and (r.pipeline_test == est) == (group == "same")
+            ]
+            if pos and neg:
+                curve = roc(pos, neg)
+                want_rows += [[group, size, *point] for point in zip(curve.thresholds, curve.fpr, curve.tpr)]
+    with open(out / "roc_points.csv") as fh:
+        points = list(csv.DictReader(fh))
+    got_rows = [
+        [p["group"], int(p["patch_size"]), float(p["threshold"]), float(p["fpr"]), float(p["tpr"])] for p in points
+    ]
+    assert want_rows and got_rows == want_rows
 
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["manifest_sha256"] == patch_manifest.sha256()
     assert meta["seed"] == patch_manifest.seed
-    loaded_summary = json.loads((out / "summary.json").read_text())
-    assert loaded_summary["estimation_pipeline"] == patch_config.estimation_pipeline
-    assert (out / "roc_points.csv").exists()
     assert (out / "alignment_shifts.csv").exists()
 
 

@@ -11,13 +11,13 @@ named in CHANGES.md), from the repository root:
     PYTHONPATH=src python tests/test_reference_report.py
 """
 
+import csv
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
-from prnukit import evalharness
 from prnukit.evalharness import ExperimentConfig, run_evaluation
 
 REFERENCE = Path(__file__).with_name("reference_report.json")
@@ -38,31 +38,23 @@ RTOL = 1e-12
 
 
 def report_numbers(out_dir) -> dict:
-    """The summary, the correlation matrix and the records of one run, as JSON values.
-
-    The matrix is taken from the run itself, since correlation.csv holds
-    only ten digits.
-    """
-    matrices = []
-    correlation_matrix = evalharness.correlation_matrix
-
-    def keep_matrix(*args, **kwargs):
-        matrices.append(correlation_matrix(*args, **kwargs))
-        return matrices[-1]
-
-    evalharness.correlation_matrix = keep_matrix
-    try:
-        run_evaluation(ExperimentConfig.from_json(CONFIG), out_dir)
-    finally:
-        evalharness.correlation_matrix = correlation_matrix
-    (matrix,) = matrices
+    """The summary, the correlation matrix and the records of one run, as JSON values read from its report."""
+    run_evaluation(ExperimentConfig.from_json(CONFIG), out_dir)
     report = Path(out_dir) / "report"
+    with open(report / "correlation.csv") as fh:
+        header, *rows = csv.reader(fh)
+    ids = header[1:]
+    assert [row[0] for row in rows] == ids
+    shifts = [[[0, 0] for _ in ids] for _ in ids]  # the file leaves out the diagonal's zero shifts
+    with open(report / "alignment_shifts.csv") as fh:
+        for row in csv.DictReader(fh):
+            shifts[ids.index(row["pipeline_a"])][ids.index(row["pipeline_b"])] = [int(row["dx"]), int(row["dy"])]
     lines = (report / "score_records.jsonl").read_text().splitlines()
     records = [{key: rec[key] for key in RECORD_FIELDS} for rec in map(json.loads, lines)]
     return {
         "config": CONFIG,
         "summary": json.loads((report / "summary.json").read_text()),
-        "matrix": {"ids": matrix.ids, "ncc": matrix.ncc.tolist(), "shifts": matrix.shifts.tolist()},
+        "matrix": {"ids": ids, "ncc": [[float(v) for v in row[1:]] for row in rows], "shifts": shifts},
         "records": records,
     }
 
