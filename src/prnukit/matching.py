@@ -78,9 +78,9 @@ def cross_correlate(a, b) -> np.ndarray:
     return _surface(_cross_power(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0)), pa.shape[0])
 
 
-def signed_shift(index: int, dim: int) -> int:
-    """Map a circular index to its signed representative in [-dim/2, dim/2)."""
-    return index - dim if index >= (dim + 1) // 2 else index
+def signed_shift(index, dim: int):
+    """Map a circular index, or an array of them, to its signed representative in [-dim/2, dim/2)."""
+    return index - dim * (index >= (dim + 1) // 2)
 
 
 def p_value(pce_value: float) -> float:
@@ -95,11 +95,11 @@ def p_value(pce_value: float) -> float:
     return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
 
 
-def _around(center: int, n: int) -> np.ndarray:
-    """Indices of the exclusion block around ``center`` on an axis of ``n``: all of a short axis, each once."""
-    if _SIDE >= n:
+def _around(center: int, n: int, radius: int) -> np.ndarray:
+    """Indices within ``radius`` of ``center`` on a circular axis of ``n``: all of a short axis, each once."""
+    if 2 * radius + 1 >= n:
         return np.arange(n)
-    return (center + np.arange(-EXCLUSION_RADIUS, EXCLUSION_RADIUS + 1)) % n
+    return (center + np.arange(-radius, radius + 1)) % n
 
 
 def _check_exclusion(shape) -> None:
@@ -135,7 +135,7 @@ def pce(surface) -> PceScore:
     _check_exclusion(s.shape)
     h, w = s.shape
     py, px = (int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
-    block = s[np.ix_(_around(py, h), _around(px, w))]
+    block = s[np.ix_(_around(py, h, EXCLUSION_RADIUS), _around(px, w, EXCLUSION_RADIUS))]
     return _score(float(s[py, px]), block, float(np.sum(s * s)), px, py, s.shape)
 
 
@@ -149,7 +149,7 @@ def _pinned_pce(p: np.ndarray, shape, peak: tuple) -> PceScore:
     """
     r, (h, w) = EXCLUSION_RADIUS, shape
     px, py = int(peak[0]) % w, int(peak[1]) % h
-    block = _surface(p, h, _around(px, w))[_around(py, h)]
+    block = _surface(p, h, _around(px, w, r))[_around(py, h, r)]
     # |p|^2 in place; the rows between DC and Nyquist stand for their mirror rows too.
     sq = p.view(np.float64)
     np.multiply(sq, sq, out=sq)
@@ -166,10 +166,11 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     Planes of different sizes, such as a cropped pipeline's fingerprint and
     an uncropped one, are compared over the top-left rectangle they share,
     and ``max_shift`` must be under half its smaller side. Searches the
-    cross-correlation surface over signed shifts within +-max_shift and
-    returns ``((dx, dy), correlation)`` where correlation is the NCC of the
-    overlapping regions after undoing the shift. Ties are broken by smallest
-    |dx| + |dy|, then row-major order.
+    cross-correlation surface over signed shifts within +-max_shift, inverting
+    only that box of it, and returns ``((dx, dy), correlation)`` where
+    correlation is the NCC of the overlapping regions after undoing the
+    shift. Ties are broken by smallest |dx| + |dy|, then smallest signed dy,
+    then smallest signed dx.
     """
     pa, pb = common_crop_planes([as_plane(fa), as_plane(fb)])
     h, w = pa.shape
@@ -177,20 +178,15 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
         raise ValueError(
             f"max_shift {max_shift} must be in [0, {min(h, w)}/2)"
         )
-    surface = cross_correlate(pa, pb)
-    offsets = np.arange(-max_shift, max_shift + 1)
-    window = surface[np.ix_(offsets % h, offsets % w)]
-    flat = window.ravel()
-    best = flat.max()
+    rows, cols = _around(0, h, max_shift), _around(0, w, max_shift)
+    box = _surface(_cross_power(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0)), h, cols)[rows]
+    best = box.max()
     if not np.isfinite(best):
         raise DegenerateInputError("plane holds a non-finite value")
-    candidates = np.flatnonzero(flat == best)
-    dy = offsets[candidates // len(offsets)]
-    dx = offsets[candidates % len(offsets)]
-    taxicab = np.abs(dx) + np.abs(dy)
-    pick = candidates[np.lexsort((candidates, taxicab))][0]
-    sy = int(offsets[pick // len(offsets)])
-    sx = int(offsets[pick % len(offsets)])
+    iy, ix = np.nonzero(box == best)
+    dy, dx = signed_shift(rows[iy], h), signed_shift(cols[ix], w)
+    pick = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy)))[0]
+    sx, sy = int(dx[pick]), int(dy[pick])
 
     a_rows = slice(max(0, -sy), h - max(0, sy))
     a_cols = slice(max(0, -sx), w - max(0, sx))

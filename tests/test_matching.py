@@ -6,6 +6,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import cross_correlate_direct, pinned_pce
 from prnukit.errors import DegenerateInputError, ShapeError
 from prnukit.matching import (
+    _around,
+    _cross_power,
+    _surface,
     align,
     cross_correlate,
     match_patch,
@@ -13,6 +16,7 @@ from prnukit.matching import (
     ncc,
     p_value,
     pce,
+    signed_shift,
     window_origins,
 )
 
@@ -203,6 +207,41 @@ def test_align_validation():
         align(a, a, max_shift=16)  # not < min(dim)/2
     with pytest.raises(ValueError):
         align(a, b, max_shift=10)  # the bound comes from the 30x20 rectangle
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (252, 252), (64, 96), (100, 70), (31, 33)])
+def test_align_box_is_the_surface_box(shape):
+    # align inverts only the +-m box; its values must be the full surface's bits,
+    # for boxes that wrap, m = 0, and the odd side whose box is the whole axis.
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    p = _cross_power(np.fft.rfft(a, axis=0), np.fft.rfft(b, axis=0))
+    top = (min(h, w) - 1) // 2  # the largest max_shift align allows
+    for m in (0, 4, min(16, top), top):
+        rows, cols = _around(0, h, m), _around(0, w, m)
+        assert np.array_equal(_surface(p, h, cols)[rows], cross_correlate(a, b)[np.ix_(rows, cols)])
+        for index, dim in ((rows, h), (cols, w)):
+            assert signed_shift(index, dim).tolist() == [signed_shift(int(i), dim) for i in index]
+            assert sorted(signed_shift(index, dim).tolist()) == list(range(-m, m + 1))
+
+
+@pytest.mark.parametrize(
+    "roll, want", [((0, 2), (-2, 0)), ((2, 0), (0, -2)), ((2, 2), (-2, -2)), ((1, 2), (-2, 1))]
+)
+def test_align_breaks_exact_ties_by_taxicab_then_signed_dy_then_dx(roll, want):
+    # A plane of period 4 correlates equally at every shift of a multiple of 4 from the roll.
+    rng = np.random.default_rng(2)
+    a = np.tile(rng.integers(-3, 4, (4, 4)).astype(float), (16, 16))
+    b = np.roll(a, roll, axis=(0, 1))
+    assert align(a, b, 8)[0] == want
+
+
+def test_align_breaks_an_exact_diagonal_tie_by_signed_dy_before_dx():
+    # A plane periodic along (dx, dy) = (2, -2): (1, -1) and (-1, 1) tie at taxicab 2.
+    y, x = np.mgrid[:16, :16]
+    a = np.random.default_rng(2).integers(-3, 4, (16, 2)).astype(float)[(x + y) % 16, x % 2]
+    assert align(a, np.roll(a, (-1, 1), axis=(0, 1)), 7)[0] == (1, -1)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
