@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import glob as globlib
-import math
 import os
 import sys
 from pathlib import Path
@@ -16,7 +15,6 @@ from pathlib import Path
 from .denoise import DenoiserSpec
 from .evalharness import ExperimentConfig, ScoreRecord, build_dataset, run_evaluation, score_windows
 from .fingerprint import (
-    SATURATION_THRESHOLD,
     check_header_id,
     clean_fingerprint,
     estimate_from_files,
@@ -24,7 +22,7 @@ from .fingerprint import (
     residual,
     save_fingerprint,
 )
-from .imaging import common_crop_planes, load_image, to_luminance
+from .imaging import check_image_path, common_crop_planes, load_image, to_luminance
 from .localization import DEFAULT_STRIDE, DEFAULT_WINDOW, pce_map, probability_map, render_map, save_map_json
 from .matching import DEFAULT_MAX_SHIFT, align, window_origins
 
@@ -37,18 +35,6 @@ def _parse_denoiser(text: str) -> DenoiserSpec:
         return DenoiserSpec.from_json({"kind": kind, param: value} if param and sep else {"kind": kind})
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-
-
-def _parse_saturation(text: str):
-    if text.lower() == "none":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # refused below, with the accepted forms named
-    if not (math.isfinite(value) and value > 0):  # at or below 0, no sample would be kept
-        raise argparse.ArgumentTypeError(f"{text!r}: expected a finite number > 0 or 'none'")
-    return value
 
 
 def _header_id(label: str):
@@ -70,7 +56,7 @@ def cmd_estimate(args) -> int:
     if not paths:
         print(f"error: no files match {args.images}", file=sys.stderr)
         return 2
-    fp = estimate_from_files(paths, args.denoiser, args.saturation_threshold, args.camera, args.pipeline)
+    fp = estimate_from_files(paths, args.denoiser, args.camera, args.pipeline)
     fp = clean_fingerprint(fp, whiten=args.whiten)
     save_fingerprint(fp, args.out)
     h, w = fp.plane.shape
@@ -109,6 +95,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    check_image_path(args.out_map)  # a map save_image cannot write fails here, before the image loads
     img = to_luminance(load_image(args.image))
     pmap = pce_map(img, load_fingerprint(args.fingerprint).plane, args.window, args.stride, args.denoiser)
     prob = probability_map(pmap)
@@ -181,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", type=_header_id("camera"), default="", help="camera id stored in the header")
     p.add_argument("--pipeline", type=_header_id("pipeline"), default="", help="pipeline id stored in the header")
     p.add_argument("--whiten", action="store_true", help="spectrum-whiten after cleanup")
-    p.add_argument(
-        "--saturation-threshold",
-        type=_parse_saturation,
-        default=SATURATION_THRESHOLD,
-        metavar="X",
-        help="exclude samples >= X from the sums ('none' disables)",
-    )
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("match", help="PCE of an image (or its patches) against a fingerprint")

@@ -23,7 +23,6 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from . import _config, _pool
 from .denoise import DenoiserSpec
 from .errors import FormatError
 from .fingerprint import (
-    SATURATION_THRESHOLD,
     Fingerprint,
     clean_fingerprint,
     estimate_from_files,
@@ -85,14 +83,11 @@ class ExperimentConfig:
     estimation_pipeline: str = ""
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
     max_shift: int = DEFAULT_MAX_SHIFT
-    saturation_threshold: Optional[float] = SATURATION_THRESHOLD
     output_dir: str = ""
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.saturation_threshold is not None and not self.saturation_threshold > 0:
-            raise ValueError(f"saturation_threshold must be > 0 or null, got {self.saturation_threshold}")
         if len(self.cameras) < 1:
             raise ValueError("need at least one camera")
         for cam in self.cameras:
@@ -252,19 +247,18 @@ def estimate_fingerprint_sets(
     manifest: DatasetManifest,
     keys,
     denoiser: DenoiserSpec = DenoiserSpec(),
-    saturation_threshold: Optional[float] = SATURATION_THRESHOLD,
 ) -> dict:
     """Fingerprint of each (camera, pipeline id) in ``keys``, from its
     estimation images; one unit per key, merged in the order of ``keys``."""
-    fingerprints = _pool.ordered_map(partial(_estimate, manifest, denoiser, saturation_threshold), keys)
+    fingerprints = _pool.ordered_map(partial(_estimate, manifest, denoiser), keys)
     return dict(zip(keys, list(fingerprints)))
 
 
-def _estimate(manifest, denoiser: DenoiserSpec, saturation_threshold: Optional[float], key) -> Fingerprint:
+def _estimate(manifest, denoiser: DenoiserSpec, key) -> Fingerprint:
     """Cleaned fingerprint of one (camera, pipeline id) key, from its estimation images."""
     cam, pid = key
     paths = manifest.image_paths(cam, pid, "estimation")
-    return clean_fingerprint(estimate_from_files(paths, denoiser, saturation_threshold, cam, pid))
+    return clean_fingerprint(estimate_from_files(paths, denoiser, cam, pid))
 
 
 @dataclass
@@ -586,7 +580,7 @@ def run_evaluation(config: ExperimentConfig, out_dir) -> dict:
     cam0, *others = manifest.cameras
     est = config.estimation_pipeline
     keys = [(cam0, pid) for pid in manifest.pipeline_ids] + [(cam, est) for cam in others]
-    fingerprints = estimate_fingerprint_sets(manifest, keys, config.denoiser, config.saturation_threshold)
+    fingerprints = estimate_fingerprint_sets(manifest, keys, config.denoiser)
     matrix = correlation_matrix([fingerprints[(cam0, pid)] for pid in manifest.pipeline_ids], config.max_shift)
     records = pce_sweep(manifest, fingerprints, est, config.patch_sizes, config.denoiser)
     summary = summarize(records, est)

@@ -5,7 +5,9 @@ fingerprint is the per-pixel weighted aggregate
 
     k = sum_i(R_i * I_i) / sum_i(I_i^2)
 
-over the input images, with pixels whose denominator is zero set to 0.
+over the input images, with pixels whose denominator is zero set to 0. The
+estimate from image files, which ``prnukit estimate`` and the evaluation
+harness both take, sums only the samples below ``SATURATION_THRESHOLD``.
 Cleanup subtracts row means then column means, removing linear gradients
 the imaging pipeline tends to share across cameras.
 """
@@ -25,8 +27,8 @@ from .errors import DegenerateInputError, FormatError, ShapeError
 from .imaging import as_plane, load_image, to_luminance
 
 # Normalized-intensity level at and above which a sample is treated as
-# saturated (254 on the 8-bit scale). Saturated pixels carry no usable
-# multiplicative signal.
+# saturated (254 on the 8-bit scale) and left out of estimate_from_files'
+# sums. Saturated pixels carry no usable multiplicative signal.
 SATURATION_THRESHOLD = 254.0 / 255.0
 
 _MAGIC = b"PRNU1\n"
@@ -61,7 +63,8 @@ class FingerprintAccumulator:
     Feed (image, residual) pairs one at a time with :meth:`add`; memory stays
     at two H x W planes however many images are added. When
     ``saturation_threshold`` is given, samples at or above it are excluded
-    from both sums on a per-image basis.
+    from both sums on a per-image basis; :func:`estimate_from_files` gives
+    ``SATURATION_THRESHOLD``, and :func:`estimate_fingerprint` gives none.
     """
 
     def __init__(self, saturation_threshold: float | None = None):
@@ -111,9 +114,10 @@ def load_residual(denoiser: DenoiserSpec, path):
     return im, residual(im, denoiser)
 
 
-def estimate_from_files(paths, denoiser, saturation_threshold, camera_id, pipeline_id) -> Fingerprint:
-    """Uncleaned estimate from the image files ``paths``, summed in their order; ShapeError names the file."""
-    acc = FingerprintAccumulator(saturation_threshold)
+def estimate_from_files(paths, denoiser, camera_id, pipeline_id) -> Fingerprint:
+    """Uncleaned estimate from the image files ``paths``, summed in their order
+    over the samples below ``SATURATION_THRESHOLD``; ShapeError names the file."""
+    acc = FingerprintAccumulator(SATURATION_THRESHOLD)
     with closing(_pool.ordered_map(partial(load_residual, denoiser), paths)) as pairs:
         for p, (im, res) in zip(paths, pairs):
             try:

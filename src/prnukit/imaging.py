@@ -73,10 +73,8 @@ def _read_pnm(data: bytes, name: str):
 
 
 def _read_png(path: Path):
-    try:
-        from PIL import Image
-    except ImportError:
-        raise FormatError(f"{path}: PNG support requires Pillow") from None
+    from PIL import Image  # check_image_path found it
+
     with Image.open(path) as im:
         mode = im.mode
         arr = np.asarray(im)
@@ -96,6 +94,18 @@ def _suffix(path: Path) -> str:
     return suffix
 
 
+def check_image_path(path) -> str:
+    """The lower-case suffix of ``path``; FormatError unless :func:`load_image` can read
+    and :func:`save_image` write the file: PGM/PPM, or PNG where Pillow is installed."""
+    suffix = _suffix(Path(path))
+    if suffix == ".png":
+        try:
+            import PIL.Image  # noqa: F401
+        except ImportError:
+            raise FormatError(f"{path}: PNG support requires Pillow") from None
+    return suffix
+
+
 def load_image(path) -> np.ndarray:
     """Load an image, scaled to [0, 1] by the format's maximum sample value.
 
@@ -103,7 +113,7 @@ def load_image(path) -> np.ndarray:
     color files.
     """
     path = Path(path)
-    if _suffix(path) == ".png":
+    if check_image_path(path) == ".png":
         return _read_png(path)
     return _read_pnm(path.read_bytes(), str(path))
 
@@ -129,16 +139,15 @@ def save_image(img, path, bit_depth: int = 16) -> None:
     if png:
         if magic != b"P5" or bit_depth != 8:
             raise FormatError(f"{path}: PNG output takes an 8-bit plane")
-        try:
-            from PIL import Image
-        except ImportError:
-            raise FormatError(f"{path}: PNG support requires Pillow") from None
+        check_image_path(path)  # Pillow, before any directory is made
     maxval = (1 << bit_depth) - 1
     q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if bit_depth == 16 else np.dtype("u1")
     h, w = a.shape[:2]
     path.parent.mkdir(parents=True, exist_ok=True)
     if png:
+        from PIL import Image
+
         Image.fromarray(q.astype(dtype)).save(path)
         return
     with open(path, "wb") as fh:

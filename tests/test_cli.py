@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from prnukit import _pool, cli, localization
 from prnukit.cli import build_parser, main
 from prnukit.denoise import DenoiserSpec
 from prnukit.evalharness import ExperimentConfig, read_score_records, write_score_records
-from prnukit.fingerprint import Fingerprint, load_fingerprint, residual, save_fingerprint
+from prnukit.fingerprint import SATURATION_THRESHOLD, Fingerprint, load_fingerprint, residual, save_fingerprint
 from prnukit.imaging import common_crop_planes, load_image, save_image, to_luminance
 from prnukit.ispsim import PipelineConfig, SensorSpec, ToneCurve, capture, synth_scene, synth_sensor
 from prnukit.localization import load_map_json
@@ -104,32 +105,25 @@ def test_estimate_zero_matches_is_usage_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])  # at or below 0, no sample would be kept; abc is no number
-def test_estimate_non_finite_saturation_is_usage_error(tmp_path, capsys, value):
-    save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
-    argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
-    assert build_parser().parse_args([*argv, "--saturation-threshold", "none"]).saturation_threshold is None
-    assert build_parser().parse_args([*argv, "--saturation-threshold", "0.9"]).saturation_threshold == 0.9
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--saturation-threshold", value])
-    assert exc.value.code == 2
+def test_estimate_with_no_sample_under_the_threshold_exits_1(tmp_path, capsys):
+    save_image(np.full((64, 64), 1.0), tmp_path / "a.pgm")  # all white: every sample at or above the cut
+    assert main(["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]) == 1
     err = capsys.readouterr().err
-    assert "--saturation-threshold" in err and f"{value!r}: expected a finite number > 0 or 'none'" in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"saturation threshold {SATURATION_THRESHOLD} " in err, err
     assert not (tmp_path / "x.fp").exists()
 
 
-@pytest.mark.parametrize("threshold", ["0.1", "0.5"])
-def test_estimate_with_no_sample_under_the_threshold_exits_1(tmp_path, capsys, threshold):
+def test_estimate_has_no_saturation_threshold_option(tmp_path, capsys):
     save_image(np.full((64, 64), 0.5), tmp_path / "a.pgm")
-    argv = ["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp")]
-    assert main([*argv, "--saturation-threshold", threshold]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and f"saturation threshold {threshold} " in err, err
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--images", str(tmp_path / "a.pgm"), "--out", str(tmp_path / "x.fp"), "--saturation-threshold", "0.9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --saturation-threshold 0.9" in capsys.readouterr().err
     assert not (tmp_path / "x.fp").exists()
 
 
 def _never_loaded(*args, **kw):
-    raise AssertionError("the images were loaded before the ids were checked")
+    raise AssertionError("the images were loaded before the arguments were checked")
 
 
 @pytest.mark.parametrize("flag, value", [("--camera", "café"), ("--pipeline", "pipe\nline")])
@@ -333,7 +327,7 @@ def test_localize_makes_the_directories_of_both_maps(tmp_path, capsys):
 
 
 def _never_denoised(*args, **kw):
-    raise AssertionError("the residual was computed before the window was checked")
+    raise AssertionError("the residual was computed before the arguments were checked")
 
 
 def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys, monkeypatch):
@@ -349,8 +343,19 @@ def test_localize_bad_window_exits_1_naming_the_window(tmp_path, capsys, monkeyp
     assert not (tmp_path / "map.pgm").exists()
 
 
-@pytest.mark.parametrize("name", ["map.txt", "map.jpg", "map"])
-def test_localize_to_a_format_load_image_cannot_read_exits_1_writing_nothing(tmp_path, capsys, name):
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("map.txt", "unsupported image format"),
+        ("map.jpg", "unsupported image format"),
+        ("map", "unsupported image format"),
+        ("map.png", "PNG support requires Pillow"),  # with Pillow hidden below
+    ],
+)
+def test_localize_to_a_format_load_image_cannot_read_exits_1_writing_nothing(tmp_path, capsys, monkeypatch, name, message):
+    monkeypatch.setattr(localization, "residual", _never_denoised)
+    monkeypatch.setattr(cli, "load_image", _never_loaded)
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
     rng = np.random.default_rng(39)
     save_fingerprint(Fingerprint(rng.normal(0, 0.02, (64, 64)), "c", "p", 1), tmp_path / "c.fp")
     save_image(rng.random((64, 64)), tmp_path / "img.pgm", bit_depth=16)
@@ -358,7 +363,7 @@ def test_localize_to_a_format_load_image_cannot_read_exits_1_writing_nothing(tmp
     argv = ["localize", "--image", str(tmp_path / "img.pgm"), "--fingerprint", str(tmp_path / "c.fp"), "--window", "32"]
     assert main([*argv, "--out-map", str(out / name), "--json-map", str(out / "map.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "unsupported image format" in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
 
 
@@ -446,15 +451,6 @@ def test_evaluate_emits_reports(tmp_path, capsys):
         assert (report_dir / name).exists(), name
 
 
-def test_evaluate_with_no_sample_under_the_threshold_names_it(tmp_path, capsys):
-    cfg = json.loads(_tiny_experiment(tmp_path).read_text())
-    path = tmp_path / "dark.json"
-    path.write_text(json.dumps({**cfg, "saturation_threshold": 0.05}))
-    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "saturation threshold 0.05 " in err, err
-
-
 def test_match_scores_a_dataset_image_as_the_sweep_does(tmp_path, capsys):
     # p_b crops 4 px off each leading edge: its 60x60 test images hold one 32x32
     # window of the rectangle they share with a 64x64 fingerprint, p_a's four.
@@ -517,7 +513,6 @@ _MALFORMED = {
         lambda c: c["pipelines"][0].update(white_balance=[float("nan"), 1]),
     "pipelines[0].tone.gamma: expected a finite number, got 'nan'": lambda c: c["pipelines"][0]["tone"].update(gamma="nan"),
     "pipelines[0].sharpen: expected a finite number, got 'nan'": lambda c: c["pipelines"][0].update(sharpen="nan"),
-    "saturation_threshold: expected a finite number, got 'nan'": lambda c: c.update(saturation_threshold="nan"),
     "denoiser.noise_variance: expected a finite number, got 'nan'": lambda c: c["denoiser"].update(noise_variance="nan"),
     # ids name directories and go into ASCII fingerprint headers
     "camera id 'câm0' must be a non-empty printable ASCII name": lambda c: c.update(cameras=["câm0", "c1"]),
@@ -553,10 +548,10 @@ _BAD_GEOMETRY = {
         lambda c: c["pipelines"][1].update(crop_offset=[64, 0]),
     "crop_offset must be at most [62, 62] on the 64x64 sensor, got [63, 0] in 'p_b'":
         lambda c: c["pipelines"][1].update(crop_offset=[63, 0]),
-    # and values no run can use: numpy's seeding refuses a negative seed, and no sample lies under a threshold <= 0
+    # and values no run can use: numpy's seeding refuses a negative seed
     "seed must be >= 0, got -1": lambda c: c.update(seed=-1),
-    "saturation_threshold must be > 0 or null, got 0.0": lambda c: c.update(saturation_threshold=0),
-    "saturation_threshold must be > 0 or null, got -1.0": lambda c: c.update(saturation_threshold=-1),
+    # the estimator's saturation cut is fixed, so a config cannot set it
+    "unknown config keys: saturation_threshold": lambda c: c.update(saturation_threshold=0.9),
 }
 
 

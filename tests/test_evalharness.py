@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from prnukit import _pool, cli, evalharness
 from prnukit.denoise import DenoiserSpec, wavelet_denoise
 from prnukit.errors import FormatError, ShapeError
-from prnukit.fingerprint import Fingerprint, load_fingerprint
-from prnukit.imaging import common_crop_planes, save_image
+from prnukit.fingerprint import SATURATION_THRESHOLD, Fingerprint, load_fingerprint
+from prnukit.imaging import common_crop_planes, load_image, save_image, to_luminance
 from prnukit.evalharness import (
     CorrelationMatrix,
     DatasetManifest,
@@ -475,12 +475,15 @@ def test_mis_sized_estimation_image_is_named_at_any_core_count(tmp_path, monkeyp
 
 
 def test_cli_estimate_matches_the_harness_fingerprint(tmp_path):
-    manifest = build_dataset(_tiny_config(n_estimation=3), tmp_path / "ds")
+    # p_b's gains and sharpening push a few samples to the saturation cut, so both estimates make it
+    bright = PipelineConfig("p_b", demosaic="nearest", tone=ToneCurve("scurve", strength=0.8), white_balance=(1.5, 1.5), sharpen=2.0)
+    manifest = build_dataset(_tiny_config(n_estimation=3, pipelines=(_TINY_PIPES[0], bright)), tmp_path / "ds")
     key = ("camX", "p_b")
-    expected = estimate_fingerprint_sets(manifest, [key], DenoiserSpec("gaussian", sigma=1.5), 0.9)[key]
     paths = [str(p) for p in manifest.image_paths(*key, "estimation")]
+    assert any((to_luminance(load_image(p)) >= SATURATION_THRESHOLD).any() for p in paths)
+    expected = estimate_fingerprint_sets(manifest, [key], DenoiserSpec("gaussian", sigma=1.5))[key]
     out = tmp_path / "camX.fp"
-    argv = ["estimate", "--images", *paths, "--out", str(out), "--denoiser", "gaussian:1.5", "--saturation-threshold", "0.9"]
+    argv = ["estimate", "--images", *paths, "--out", str(out), "--denoiser", "gaussian:1.5"]
     assert cli.main(argv) == 0
     got = load_fingerprint(out)
     assert got.n_sources == expected.n_sources == 3
@@ -534,8 +537,6 @@ def test_experiment_config_validation():
         ({"patch_sizes": [128, 8]}, "patch_sizes"),
         ({"max_shift": -1}, "max_shift"),
         ({"seed": -1}, "seed"),
-        ({"saturation_threshold": 0}, "saturation_threshold"),
-        ({"saturation_threshold": -1}, "saturation_threshold"),
         # geometry of the default 256x256 sensor: nn_scurve_crop leaves 252x252,
         # and the estimation pipeline, bl_gamma, all 256x256
         ({"max_shift": 126}, "max_shift"),

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from prnukit.denoise import DenoiserSpec
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import (
+    SATURATION_THRESHOLD,
     Fingerprint,
     FingerprintAccumulator,
     clean_fingerprint,
     estimate_fingerprint,
+    estimate_from_files,
     load_fingerprint,
     residual,
     save_fingerprint,
@@ -111,6 +113,30 @@ def test_accumulator_splits_match_estimate_fingerprint(threshold):
         assert (got.camera_id, got.pipeline_id, got.n_sources) == ("c", "p", len(imgs[idx]))
     if threshold is None:  # estimate_fingerprint is the accumulator with no cut
         assert np.array_equal(full.finish().plane, estimate_fingerprint(list(imgs), list(res)).plane)
+
+
+def test_estimate_from_files_sums_only_below_the_saturation_cut(tmp_path):
+    # 8-bit PGMs, so 254 and 255 load as exactly 254/255 (the cut) and 1.0
+    rng = np.random.default_rng(17)
+    levels = rng.integers(1, 254, (4, 12, 10))
+    levels[:, 0, :3] = 255  # saturated in every image: k is 0 there
+    levels[0, 1, :] = 254  # at the cut in one image only
+    levels[2, 2, 4:] = 255
+    paths = [tmp_path / f"img_{i}.pgm" for i in range(len(levels))]
+    for path, lv in zip(paths, levels):
+        save_image(lv / 255.0, path, bit_depth=8)
+    denoiser = DenoiserSpec("gaussian", sigma=1.0)
+    got = estimate_from_files(paths, denoiser, "c", "p")
+    imgs = np.array([load_image(p) for p in paths])
+    res = np.array([residual(im, denoiser) for im in imgs])
+    # the estimator written out, with the cut: k = sum(R * I * keep) / sum(I^2 * keep), 0 where nothing is kept
+    keep = imgs < SATURATION_THRESHOLD
+    num = np.sum(res * imgs * keep, axis=0)
+    den = np.sum(imgs**2 * keep, axis=0)
+    want = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+    np.testing.assert_allclose(got.plane, want, rtol=1e-12, atol=0)
+    assert (den == 0.0).sum() == 3 and np.all(got.plane[0, :3] == 0.0)
+    assert (got.camera_id, got.pipeline_id, got.n_sources) == ("c", "p", 4)
 
 
 @settings(max_examples=100)
