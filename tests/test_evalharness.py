@@ -298,6 +298,7 @@ def test_summary_and_report(tmp_path, patch_manifest, patch_records, patch_confi
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["manifest_sha256"] == patch_manifest.sha256()
     assert meta["seed"] == patch_manifest.seed
+    assert meta["config"] == patch_config.to_json() and "saturation_threshold" not in meta["config"]
     assert (out / "alignment_shifts.csv").exists()
 
 

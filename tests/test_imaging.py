@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
-from prnukit.imaging import as_plane, load_image, save_image, to_luminance
+from prnukit.imaging import as_plane, check_image_path, load_image, save_image, to_luminance
 
 
 def test_load_8bit_gray_normalization(tmp_path):
@@ -120,6 +120,43 @@ def test_png_save_without_pillow_makes_no_directory(tmp_path, monkeypatch):
     with pytest.raises(FormatError, match="requires Pillow"):
         save_image(np.zeros((4, 4)), tmp_path / "new" / "x.png", bit_depth=8)
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("name, suffix", [("x.pgm", ".pgm"), ("X.PGM", ".pgm"), ("x.Ppm", ".ppm")])
+def test_check_image_path_passes_what_save_image_writes_and_load_image_reads(tmp_path, name, suffix):
+    path = tmp_path / name
+    assert check_image_path(path) == suffix
+    img = np.random.default_rng(3).random((4, 5) if suffix == ".pgm" else (4, 5, 3))
+    save_image(img, path)
+    np.testing.assert_allclose(load_image(path), img, atol=0.5 / 65535)
+
+
+@pytest.mark.parametrize("name", ["x.txt", "x.jpg", "x", "x.pgm.gz"])
+def test_check_image_path_refuses_what_save_image_and_load_image_refuse(tmp_path, name):
+    # one suffix rule: the same message from the check, the writer and the reader
+    path = tmp_path / "new" / name
+    with pytest.raises(FormatError, match="unsupported image format") as checked:
+        check_image_path(path)
+    with pytest.raises(FormatError) as saved:
+        save_image(np.zeros((4, 4)), path)
+    assert str(saved.value) == str(checked.value)
+    assert not (tmp_path / "new").exists()
+    path.parent.mkdir()
+    path.write_bytes(b"P5\n1 1\n255\n\x00")  # a readable PGM under the refused name
+    with pytest.raises(FormatError) as loaded:
+        load_image(path)
+    assert str(loaded.value) == str(checked.value)
+
+
+def test_without_pillow_no_png_passes_the_check_or_loads(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+    path = tmp_path / "x.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n")
+    with pytest.raises(FormatError, match="requires Pillow") as checked:
+        check_image_path(path)
+    with pytest.raises(FormatError) as loaded:
+        load_image(path)
+    assert str(loaded.value) == str(checked.value)
 
 
 def test_luminance_weights():
