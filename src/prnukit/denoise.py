@@ -45,10 +45,10 @@ class DenoiserSpec:
     def __post_init__(self):
         if self.kind not in self.KIND_PARAM:
             raise ValueError(f"unknown denoiser kind {self.kind!r}")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be > 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        for name in ("noise_variance", "sigma"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     to_json = _config.to_json
     from_json = classmethod(_config.from_json)
@@ -79,8 +79,8 @@ def local_signal_variance(coeff: np.ndarray, noise_variance: float) -> np.ndarra
 def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np.ndarray:
     """Wavelet-domain Wiener denoiser. Requires both dimensions >= 16."""
     p = as_plane(plane)
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be > 0")
+    if not 0.0 < noise_variance < np.inf:
+        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance}")
     if min(p.shape) < _MIN_SIZE:
         raise ShapeError(
             f"plane {p.shape[1]}x{p.shape[0]} smaller than minimum "
@@ -94,13 +94,13 @@ def wavelet_denoise(plane, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> np
     return wavelets.reconstruct(approx, details, shapes)
 
 
-def _symmetric_taps(ext, kernel, step):
-    """Correlate the 1-D ``ext`` with ``kernel``, whose taps sit ``step`` samples apart: each output
-    is centre * w0, then += (left + right) * w per tap pair outermost first, as scipy.ndimage does."""
+def _symmetric_taps(ext, kernel, step, out=None):
+    """Correlate the 1-D ``ext`` with ``kernel``, whose taps sit ``step`` samples apart, into ``out``:
+    each output is centre * w0, then += (left + right) * w per tap pair outermost first, as scipy.ndimage does."""
     r = len(kernel) // 2
     n = len(ext) - 2 * r * step
     taps = [ext[k * step : k * step + n] for k in range(2 * r + 1)]
-    out = taps[r] * kernel[r]
+    out = np.multiply(taps[r], kernel[r], out=out)
     pair = np.empty_like(out)
     for j in range(r, 0, -1):
         np.add(taps[r - j], taps[r + j], out=pair)
@@ -113,23 +113,23 @@ def gaussian_denoise(plane, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel truncated at +-3 sigma and normalized
     to sum 1, edges handled by reflection (d c b a | a b c d), repeated past a short side."""
     p = as_plane(plane)
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     radius = int(math.floor(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel /= kernel.sum()
     h, w = p.shape
-    ext = np.pad(p, ((radius, radius), (0, 0)), mode="symmetric")
-    out = np.empty_like(p)
-    rows = max(1, (1 << 15) // (w + 2 * radius))  # bands of ~32 K samples stay in cache
+    width = w + 2 * radius
+    ext = np.pad(p, radius, mode="symmetric")
+    out = np.empty((h, width))
+    rows = max(1, (1 << 15) // width)  # bands of ~32 K samples stay in cache
     for i in range(0, h, rows):
-        cols = _symmetric_taps(ext[i : i + rows + 2 * radius].ravel(), kernel, w).reshape(-1, w)
-        # The padded rows run as one line; the 2 * radius outputs that straddle two rows are dropped.
-        cols = np.pad(cols, ((0, 0), (radius, radius)), mode="symmetric").ravel()
-        cols = np.pad(_symmetric_taps(cols, kernel, 1), (0, 2 * radius))
-        out[i : i + rows] = cols.reshape(-1, w + 2 * radius)[:, :w]
-    return out
+        cols = _symmetric_taps(ext[i : i + rows + 2 * radius].ravel(), kernel, width)
+        # The padded rows run as one line; the 2 * radius outputs that straddle two rows land in the margin.
+        band = out[i : i + rows].ravel()
+        _symmetric_taps(cols, kernel, 1, band[: band.size - 2 * radius])
+    return out[:, :w]
 
 
 def apply_denoiser(plane, spec: DenoiserSpec) -> np.ndarray:

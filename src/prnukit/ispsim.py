@@ -42,8 +42,8 @@ class ToneCurve:
     def __post_init__(self):
         if self.kind not in self.KIND_PARAM:
             raise ValueError(f"unknown tone curve {self.kind!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not 0.0 < self.gamma < np.inf:  # NaN fails too
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("scurve strength must be in [0, 1]")
 
@@ -72,8 +72,10 @@ class PipelineConfig:
         _config.check_id("pipeline", self.id)
         if self.demosaic not in DEMOSAIC_KINDS:
             raise ValueError(f"unknown demosaic {self.demosaic!r}")
-        if min(self.white_balance) <= 0:
-            raise ValueError("white balance gains must be > 0")
+        if not all(0.0 < gain < np.inf for gain in self.white_balance):
+            raise ValueError(f"white_balance gains must be finite and > 0, got {self.white_balance}")
+        if self.sharpen is not None and not np.isfinite(self.sharpen):
+            raise ValueError(f"sharpen must be finite, got {self.sharpen}")
         if min(self.crop_offset) < 0:
             raise ValueError("crop_offset must be >= (0, 0)")
 
@@ -199,26 +201,26 @@ def _correlate3(plane: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
     return out
 
 
-def _demosaic_bilinear(raw: np.ndarray) -> np.ndarray:
+def _demosaic_bilinear(raw: np.ndarray) -> tuple:
     rmask, gmask, bmask = _bayer_masks(raw.shape)
     # "reflect" mirrors about the edge sample, preserving CFA parity.
     # With these kernels the mask-weighted normalizer is 4 at every site.
     r = _correlate3(raw * rmask, _K_RB, "reflect") / 4.0
     g = _correlate3(raw * gmask, _K_G, "reflect") / 4.0
     b = _correlate3(raw * bmask, _K_RB, "reflect") / 4.0
-    return np.stack([r, g, b], axis=2)
+    return r, g, b
 
 
-def _demosaic_nearest(raw: np.ndarray) -> np.ndarray:
+def _demosaic_nearest(raw: np.ndarray) -> tuple:
     r = np.repeat(np.repeat(raw[0::2, 0::2], 2, axis=0), 2, axis=1)
     b = np.repeat(np.repeat(raw[1::2, 1::2], 2, axis=0), 2, axis=1)
     g = raw.copy()
     g[0::2, 0::2] = raw[0::2, 1::2]  # R sites take the G to their right
     g[1::2, 1::2] = raw[1::2, 0::2]  # B sites take the G to their left
-    return np.stack([r, g, b], axis=2)
+    return r, g, b
 
 
-def _demosaic_edge(raw: np.ndarray) -> np.ndarray:
+def _demosaic_edge(raw: np.ndarray) -> tuple:
     """Gradient-corrected edge-directed interpolation.
 
     Green at R/B sites picks the horizontal or vertical neighbor average by
@@ -245,8 +247,7 @@ def _demosaic_edge(raw: np.ndarray) -> np.ndarray:
     # Chroma by difference interpolation: own-color sites pass through.
     r = green + _correlate3((pad - green) * rmask, _K_RB, "constant") / 4.0
     b = green + _correlate3((pad - green) * bmask, _K_RB, "constant") / 4.0
-    out = np.stack([r, green, b], axis=2)
-    return out[2:-2, 2:-2]
+    return r[2:-2, 2:-2], green[2:-2, 2:-2], b[2:-2, 2:-2]
 
 
 _DEMOSAICERS = {
@@ -296,22 +297,20 @@ def output_shape(config: PipelineConfig, shape) -> tuple:
     return out_h, out_w
 
 
-def _render(rgb: np.ndarray, config: PipelineConfig) -> np.ndarray:
-    """Every step of ``config`` after the demosaic; ``rgb`` is left unchanged."""
-    out_h, out_w = output_shape(config, rgb.shape[:2])
-    r_gain, b_gain = config.white_balance
-    rgb = np.clip(rgb * np.array([r_gain, 1.0, b_gain]), 0.0, 1.0)
-    rgb = config.tone.apply(rgb)
-    if config.denoise is not None:
-        for c in range(3):
-            rgb[:, :, c] = apply_denoiser(rgb[:, :, c], config.denoise)
-    if config.sharpen is not None:
-        for c in range(3):
-            blurred = gaussian_denoise(rgb[:, :, c], 1.0)
-            rgb[:, :, c] += config.sharpen * (rgb[:, :, c] - blurred)
-    rgb = np.clip(rgb, 0.0, 1.0)
+def _render(planes, config: PipelineConfig) -> np.ndarray:
+    """Every step of ``config`` after the demosaic on each (r, g, b) plane, left unchanged; one (H', W', 3) stack."""
+    out_h, out_w = output_shape(config, planes[0].shape)
     dx, dy = config.crop_offset
-    return rgb[dy : dy + out_h, dx : dx + out_w]
+    out = []
+    for plane, gain in zip(planes, (config.white_balance[0], 1.0, config.white_balance[1])):
+        plane = config.tone.apply(np.clip(plane * gain, 0.0, 1.0))
+        if config.denoise is not None:
+            plane = apply_denoiser(plane, config.denoise)
+        if config.sharpen is not None:
+            plane = plane + config.sharpen * (plane - gaussian_denoise(plane, 1.0))
+        out.append(plane[dy : dy + out_h, dx : dx + out_w])
+    rgb = np.stack(out, axis=2)
+    return np.clip(rgb, 0.0, 1.0, out=rgb)
 
 
 DEFAULT_PIPELINES = (

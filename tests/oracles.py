@@ -5,7 +5,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
-from prnukit.ispsim import _K_G, _K_RB, _bayer_masks
+from prnukit.denoise import apply_denoiser, gaussian_denoise
+from prnukit.ispsim import _K_G, _K_RB, _bayer_masks, output_shape
 from prnukit.matching import PceScore, _pair, signed_shift
 
 
@@ -93,6 +94,25 @@ def demosaic_edge_direct(raw: np.ndarray) -> np.ndarray:
     b = green + convolve((pad - green) * bmask, _K_RB, "same", "direct") / 4.0
     out = np.stack([r, green, b], axis=2)
     return out[2:-2, 2:-2]
+
+
+def render(rgb: np.ndarray, config) -> np.ndarray:
+    """Every step of ``config`` after the demosaic on one interleaved (H, W, 3) image: white
+    balance, tone and clip on the whole, denoise and sharpen one strided channel at a time."""
+    out_h, out_w = output_shape(config, rgb.shape[:2])
+    r_gain, b_gain = config.white_balance
+    rgb = np.clip(rgb * np.array([r_gain, 1.0, b_gain]), 0.0, 1.0)
+    rgb = config.tone.apply(rgb)
+    if config.denoise is not None:
+        for c in range(3):
+            rgb[:, :, c] = apply_denoiser(rgb[:, :, c], config.denoise)
+    if config.sharpen is not None:
+        for c in range(3):
+            blurred = gaussian_denoise(rgb[:, :, c], 1.0)
+            rgb[:, :, c] += config.sharpen * (rgb[:, :, c] - blurred)
+    rgb = np.clip(rgb, 0.0, 1.0)
+    dx, dy = config.crop_offset
+    return rgb[dy : dy + out_h, dx : dx + out_w]
 
 
 # The wavelet transform and Wiener shrink as first written: zero-upsampled

@@ -240,6 +240,24 @@ def test_gaussian_equals_scipy_convolve1d(sigma):
         assert np.array_equal(gaussian_denoise(plane, sigma), expect), shape
 
 
+def _scipy_blur(plane, sigma):
+    radius = int(np.floor(3 * sigma))
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (t / sigma) ** 2)
+    kernel /= kernel.sum()
+    return convolve1d(convolve1d(plane, kernel, axis=0, mode="reflect"), kernel, axis=1, mode="reflect")
+
+
+@pytest.mark.parametrize("sigma", [0.2, 1.1, 4.0, 9.0])
+def test_gaussian_equals_scipy_on_one_row_bands_and_a_channel_view(sigma):
+    rng = np.random.default_rng(13)
+    # Padded rows of over 32 768 samples: every band is one row.
+    wide = rng.standard_normal((2, 33000))
+    assert np.array_equal(gaussian_denoise(wide, sigma), _scipy_blur(wide, sigma))
+    channel = rng.standard_normal((40, 50, 3))[:, :, 1]
+    assert np.array_equal(gaussian_denoise(channel, sigma), _scipy_blur(channel, sigma))
+
+
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         gaussian_denoise(np.zeros((8, 8)), 0.0)

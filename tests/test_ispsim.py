@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import demosaic_bilinear_direct, demosaic_edge_direct
 from prnukit import ispsim
 from prnukit.denoise import DenoiserSpec
@@ -125,6 +126,23 @@ def test_demosaicers_differ_on_texture():
             assert np.abs(outs[i] - outs[j]).max() > 0
 
 
+_NON_FINITE_FIELDS = {
+    "white_balance": lambda v: PipelineConfig("p", white_balance=(v, 1.0)),
+    "sharpen": lambda v: PipelineConfig("p", sharpen=v),
+    "gamma": lambda v: ToneCurve(gamma=v),
+    "noise_variance": lambda v: DenoiserSpec("wavelet", noise_variance=v),
+    "sigma": lambda v: DenoiserSpec("gaussian", sigma=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_FIELDS))
+def test_specs_refuse_a_non_finite_field(field, value):
+    # Built from Python, not through the JSON codec, which refuses non-finite floats itself.
+    with pytest.raises(ValueError, match=f"^{field} .*must be finite"):
+        _NON_FINITE_FIELDS[field](value)
+
+
 @pytest.mark.parametrize("h, w", [(64, 64), (66, 130), (256, 256)])
 def test_demosaic_matches_direct_convolution(monkeypatch, h, w):
     direct = {"bilinear": demosaic_bilinear_direct, "edge_directed": demosaic_edge_direct}
@@ -134,11 +152,24 @@ def test_demosaic_matches_direct_convolution(monkeypatch, h, w):
             raw = capture(scene, sensor, seed=seed)
             with monkeypatch.context() as m:
                 for kind, demosaic in direct.items():
-                    assert np.array_equal(ispsim._DEMOSAICERS[kind](raw), demosaic(raw)), (kind, seed)
-                    m.setitem(ispsim._DEMOSAICERS, kind, demosaic)
+                    planes = ispsim._DEMOSAICERS[kind](raw)
+                    assert np.array_equal(np.stack(planes, axis=2), demosaic(raw)), (kind, seed)
+                    m.setitem(ispsim._DEMOSAICERS, kind, lambda plane, d=demosaic: tuple(np.moveaxis(d(plane), 2, 0)))
                 want = [develop(raw, cfg) for cfg in DEFAULT_PIPELINES]
             for cfg, out in zip(DEFAULT_PIPELINES, want):
                 assert np.array_equal(develop(raw, cfg), out), (cfg.id, seed)
+
+
+@pytest.mark.parametrize("h, w", [(64, 64), (66, 130), (256, 256)])
+def test_develop_matches_the_interleaved_reference_render(h, w):
+    # The flat 0.98 scene saturates, so both clips act; nn_scurve_crop's crop acts on every size.
+    sensor = synth_sensor(w, h, seed=4)
+    for scene in (synth_scene(w, h, "texture", seed=5), synth_scene(w, h, "flat", level=0.98)):
+        raw = capture(scene, sensor, seed=6)
+        for cfg, out in zip(DEFAULT_PIPELINES, develop_each(raw, DEFAULT_PIPELINES)):
+            want = oracles.render(np.stack(ispsim._DEMOSAICERS[cfg.demosaic](raw), axis=2), cfg)
+            assert out.shape == want.shape == output_shape(cfg, (h, w)) + (3,), cfg.id
+            assert np.array_equal(out, want), cfg.id
 
 
 def test_develop_deterministic():
