@@ -23,9 +23,8 @@ from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
 from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane
 
-# Symmetric, so correlating with them is convolving.
+# Symmetric, so correlating with it is convolving.
 _K_RB = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]])
-_K_G = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,11 @@ def synth_scene(
     """Generate an (H, W, 3) test scene: flat(level), gradient, or texture(seed)."""
     if width < 64 or height < 64:
         raise ValueError(f"scene dimensions must be >= 64, got {width}x{height}")
+    level = float(level)
+    if not np.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     if kind == "flat":
-        return np.full((height, width, 3), float(level))
+        return np.full((height, width, 3), level)
     if kind == "gradient":
         xx = np.arange(width)[None, :]
         yy = np.arange(height)[:, None]
@@ -171,7 +173,8 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     """Expose a scene through the RGGB mosaic of ``sensor``.
 
     raw = bayer * (1 + k) + shot + read, clipped to [0, 1]; shot noise
-    variance is bayer * shot_noise_scale.
+    variance is bayer * shot_noise_scale. Non-finite scene samples raise
+    :class:`DegenerateInputError`.
     """
     sc = np.asarray(scene, dtype=np.float64)
     if sc.ndim != 3 or sc.shape[2] != 3:
@@ -180,35 +183,83 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     spec = sensor.spec
     if (w, h) != (spec.width, spec.height):
         raise ShapeError(f"scene {w}x{h} does not match sensor {spec.width}x{spec.height}")
-    rmask, _, bmask = _bayer_masks((h, w))
-    bayer = np.where(rmask, sc[:, :, 0], np.where(bmask, sc[:, :, 2], sc[:, :, 1]))
-    signal = bayer * (1.0 + sensor.prnu)
+    if not np.isfinite(sc).all():
+        raise DegenerateInputError("scene has non-finite samples")
+    # RGGB: green everywhere, then red and blue over their sites.
+    bayer = sc[:, :, 1].copy()
+    bayer[0::2, 0::2] = sc[0::2, 0::2, 0]
+    bayer[1::2, 1::2] = sc[1::2, 1::2, 2]
+    signal = np.add(sensor.prnu, 1.0)
+    signal *= bayer
+    # In place, in the order of bayer * (1 + k) + (normal * shot_sd + normal * read_noise_std);
+    # the second normal is drawn into shot_sd's buffer once shot_sd is spent.
     rng = np.random.default_rng(seed)
-    shot_sd = np.sqrt(np.clip(bayer, 0.0, None) * spec.shot_noise_scale)
-    noise = rng.standard_normal((h, w)) * shot_sd
-    noise += rng.standard_normal((h, w)) * spec.read_noise_std
-    return np.clip(signal + noise, 0.0, 1.0)
+    shot_sd = np.clip(bayer, 0.0, None, out=bayer)
+    shot_sd *= spec.shot_noise_scale
+    np.sqrt(shot_sd, out=shot_sd)
+    noise = rng.standard_normal((h, w))
+    noise *= shot_sd
+    read = rng.standard_normal(out=shot_sd)
+    read *= spec.read_noise_std
+    noise += read
+    signal += noise
+    return np.clip(signal, 0.0, 1.0, out=signal)
 
 
-def _correlate3(plane: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
-    """scipy.ndimage's ``correlate`` with a 3x3 ``kernel``, bit for bit: its nonzero taps over
-    ``np.pad(plane, 1, mode)``, added in row-major order onto zeros."""
+def _correlate3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """scipy.ndimage's ``correlate`` with a 3x3 ``kernel`` and ``mode="constant"``, bit for bit:
+    its nonzero taps over the zero-padded plane, added in row-major order onto zeros."""
     h, w = plane.shape
-    ext = np.pad(plane, 1, mode=mode)
+    ext = np.pad(plane, 1)
     out = np.zeros_like(plane)
     for i, j in zip(*np.nonzero(kernel)):
         out += ext[i : i + h, j : j + w] * kernel[i, j]
     return out
 
 
+def _average(out: np.ndarray, *terms) -> None:
+    """Write the mean of one, two or four ``terms`` into ``out``: summed in order onto +0.0 in a
+    contiguous buffer, then scaled. The 3x3 correlation of a masked plane sums the same samples
+    in the same order onto zeros, and its taps and its /4 are powers of two, so the two agree
+    bit for bit."""
+    acc = np.add(terms[0], 0.0)
+    for term in terms[1:]:
+        acc += term
+    np.multiply(acc, 1.0 / len(terms), out=out)
+
+
 def _demosaic_bilinear(raw: np.ndarray) -> tuple:
-    rmask, gmask, bmask = _bayer_masks(raw.shape)
-    # "reflect" mirrors about the edge sample, preserving CFA parity.
-    # With these kernels the mask-weighted normalizer is 4 at every site.
-    r = _correlate3(raw * rmask, _K_RB, "reflect") / 4.0
-    g = _correlate3(raw * gmask, _K_G, "reflect") / 4.0
-    b = _correlate3(raw * bmask, _K_RB, "reflect") / 4.0
-    return r, g, b
+    """Bilinear demosaic from the four Bayer quarter planes, equal bit for bit to correlating
+    each masked colour plane of the "reflect"-padded raw with the [1 2 1] (red, blue) or cross
+    (green) kernel, over 4. The reflect pad makes a missing neighbour the same-colour sample one
+    Bayer step inward, the quarter plane's own edge, so each quarter plane gets one
+    edge-replicated row and column where its neighbours run off the sensor. Its ``top``/``bot``
+    rows and ``lft``/``rgt`` columns then give each site's same-colour neighbours on either side.
+    """
+    h, w = raw.shape
+    top, bot = slice(0, h // 2), slice(1, h // 2 + 1)
+    lft, rgt = slice(0, w // 2), slice(1, w // 2 + 1)
+    r = np.pad(raw[0::2, 0::2], ((0, 1), (0, 1)), mode="edge")
+    g1 = np.pad(raw[0::2, 1::2], ((0, 1), (1, 0)), mode="edge")
+    g2 = np.pad(raw[1::2, 0::2], ((1, 0), (0, 1)), mode="edge")
+    b = np.pad(raw[1::2, 1::2], ((1, 0), (1, 0)), mode="edge")
+    red, green, blue = np.empty((3, h, w))
+    # Site classes: R at (even, even), G1 at (even, odd), G2 at (odd, even), B at (odd, odd).
+    # Four-neighbour sums take the kernel's row-major tap order.
+    _average(red[0::2, 0::2], r[top, lft])
+    _average(red[0::2, 1::2], r[top, lft], r[top, rgt])
+    _average(red[1::2, 0::2], r[top, lft], r[bot, lft])
+    _average(red[1::2, 1::2], r[top, lft], r[top, rgt], r[bot, lft], r[bot, rgt])
+    # up, left, right, down
+    _average(green[0::2, 0::2], g2[top, lft], g1[top, lft], g1[top, rgt], g2[bot, lft])
+    _average(green[0::2, 1::2], g1[top, rgt])
+    _average(green[1::2, 0::2], g2[bot, lft])
+    _average(green[1::2, 1::2], g1[top, rgt], g2[bot, lft], g2[bot, rgt], g1[bot, rgt])
+    _average(blue[0::2, 0::2], b[top, lft], b[top, rgt], b[bot, lft], b[bot, rgt])
+    _average(blue[0::2, 1::2], b[top, rgt], b[bot, rgt])
+    _average(blue[1::2, 0::2], b[bot, lft], b[bot, rgt])
+    _average(blue[1::2, 1::2], b[bot, rgt])
+    return red, green, blue
 
 
 def _demosaic_nearest(raw: np.ndarray) -> tuple:
@@ -245,8 +296,8 @@ def _demosaic_edge(raw: np.ndarray) -> tuple:
     est = np.where(dh < dv, est_h, np.where(dv < dh, est_v, 0.5 * (est_h + est_v)))
     green = np.where(gmask, pad, est)
     # Chroma by difference interpolation: own-color sites pass through.
-    r = green + _correlate3((pad - green) * rmask, _K_RB, "constant") / 4.0
-    b = green + _correlate3((pad - green) * bmask, _K_RB, "constant") / 4.0
+    r = green + _correlate3((pad - green) * rmask, _K_RB) / 4.0
+    b = green + _correlate3((pad - green) * bmask, _K_RB) / 4.0
     return r[2:-2, 2:-2], green[2:-2, 2:-2], b[2:-2, 2:-2]
 
 

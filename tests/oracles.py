@@ -6,7 +6,7 @@ from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.denoise import apply_denoiser, gaussian_denoise
-from prnukit.ispsim import _K_G, _K_RB, _bayer_masks, output_shape
+from prnukit.ispsim import _K_RB, _bayer_masks, output_shape
 from prnukit.matching import PceScore, _pair, signed_shift
 
 
@@ -56,6 +56,26 @@ def pinned_pce(surface, exclusion_radius, peak=None) -> PceScore:
     energy = float(np.mean(off * off))
     value = 0.0 if peak_value == 0.0 else float(np.copysign(peak_value * peak_value / energy, peak_value))
     return PceScore(value, peak_value, (signed_shift(px, w), signed_shift(py, h)))
+
+
+def capture(scene, sensor, seed: int = 0) -> np.ndarray:
+    """``ispsim.capture`` through boolean Bayer masks and nested ``np.where``, each step into a
+    new array."""
+    sc = np.asarray(scene, dtype=np.float64)
+    h, w = sc.shape[:2]
+    spec = sensor.spec
+    rmask, _, bmask = _bayer_masks((h, w))
+    bayer = np.where(rmask, sc[:, :, 0], np.where(bmask, sc[:, :, 2], sc[:, :, 1]))
+    signal = bayer * (1.0 + sensor.prnu)
+    rng = np.random.default_rng(seed)
+    shot_sd = np.sqrt(np.clip(bayer, 0.0, None) * spec.shot_noise_scale)
+    noise = rng.standard_normal((h, w)) * shot_sd
+    noise += rng.standard_normal((h, w)) * spec.read_noise_std
+    return np.clip(signal + noise, 0.0, 1.0)
+
+
+# The bilinear demosaic's green kernel; symmetric, like ispsim's _K_RB.
+_K_G = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 def demosaic_bilinear_direct(raw: np.ndarray) -> np.ndarray:
