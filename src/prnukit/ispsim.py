@@ -23,9 +23,6 @@ from .denoise import DenoiserSpec, apply_denoiser, gaussian_denoise
 from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane
 
-# Symmetric, so correlating with it is convolving.
-_K_RB = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class ToneCurve:
@@ -71,6 +68,9 @@ class PipelineConfig:
         _config.check_id("pipeline", self.id)
         if self.demosaic not in DEMOSAIC_KINDS:
             raise ValueError(f"unknown demosaic {self.demosaic!r}")
+        for name in ("white_balance", "crop_offset"):
+            if np.shape(getattr(self, name)) != (2,):  # the JSON codec checks lengths; Python callers skip it
+                raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
         if not all(0.0 < gain < np.inf for gain in self.white_balance):
             raise ValueError(f"white_balance gains must be finite and > 0, got {self.white_balance}")
         if self.sharpen is not None and not np.isfinite(self.sharpen):
@@ -159,16 +159,6 @@ def synth_scene(
     raise ValueError(f"unknown scene kind {kind!r}")
 
 
-def _bayer_masks(shape):
-    h, w = shape
-    odd_row = (np.arange(h) % 2)[:, None].astype(bool)
-    odd_col = (np.arange(w) % 2)[None, :].astype(bool)
-    r = ~odd_row & ~odd_col
-    b = odd_row & odd_col
-    g = ~(r | b)
-    return r, g, b
-
-
 def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     """Expose a scene through the RGGB mosaic of ``sensor``.
 
@@ -206,17 +196,6 @@ def capture(scene, sensor: SensorProfile, seed: int = 0) -> np.ndarray:
     return np.clip(signal, 0.0, 1.0, out=signal)
 
 
-def _correlate3(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """scipy.ndimage's ``correlate`` with a 3x3 ``kernel`` and ``mode="constant"``, bit for bit:
-    its nonzero taps over the zero-padded plane, added in row-major order onto zeros."""
-    h, w = plane.shape
-    ext = np.pad(plane, 1)
-    out = np.zeros_like(plane)
-    for i, j in zip(*np.nonzero(kernel)):
-        out += ext[i : i + h, j : j + w] * kernel[i, j]
-    return out
-
-
 def _average(out: np.ndarray, *terms) -> None:
     """Write the mean of one, two or four ``terms`` into ``out``: summed in order onto +0.0 in a
     contiguous buffer, then scaled. The 3x3 correlation of a masked plane sums the same samples
@@ -226,6 +205,21 @@ def _average(out: np.ndarray, *terms) -> None:
     for term in terms[1:]:
         acc += term
     np.multiply(acc, 1.0 / len(terms), out=out)
+
+
+def _spread(out: np.ndarray, q: np.ndarray, own: int) -> None:
+    """Fill ``out`` with red (``own`` 0) or blue (``own`` 1) from ``q``, that colour's (h/2 + 1,
+    w/2 + 1) samples: one more row and column below and right of red's, above and left of blue's.
+    A site reads, on each axis, its own line of ``q`` if it has the colour's parity and the two
+    either side if not, averaged in the [1 2 1] kernel's row-major tap order."""
+    h, w = out.shape
+    rows = (slice(0, h // 2), slice(1, h // 2 + 1))
+    cols = (slice(0, w // 2), slice(1, w // 2 + 1))
+    for i in (0, 1):
+        for j in (0, 1):
+            near_rows = rows[own : own + 1] if i == own else rows
+            near_cols = cols[own : own + 1] if j == own else cols
+            _average(out[i::2, j::2], *(q[r, c] for r in near_rows for c in near_cols))
 
 
 def _demosaic_bilinear(raw: np.ndarray) -> tuple:
@@ -239,26 +233,17 @@ def _demosaic_bilinear(raw: np.ndarray) -> tuple:
     h, w = raw.shape
     top, bot = slice(0, h // 2), slice(1, h // 2 + 1)
     lft, rgt = slice(0, w // 2), slice(1, w // 2 + 1)
-    r = np.pad(raw[0::2, 0::2], ((0, 1), (0, 1)), mode="edge")
     g1 = np.pad(raw[0::2, 1::2], ((0, 1), (1, 0)), mode="edge")
     g2 = np.pad(raw[1::2, 0::2], ((1, 0), (0, 1)), mode="edge")
-    b = np.pad(raw[1::2, 1::2], ((1, 0), (1, 0)), mode="edge")
     red, green, blue = np.empty((3, h, w))
+    _spread(red, np.pad(raw[0::2, 0::2], ((0, 1), (0, 1)), mode="edge"), 0)
+    _spread(blue, np.pad(raw[1::2, 1::2], ((1, 0), (1, 0)), mode="edge"), 1)
     # Site classes: R at (even, even), G1 at (even, odd), G2 at (odd, even), B at (odd, odd).
-    # Four-neighbour sums take the kernel's row-major tap order.
-    _average(red[0::2, 0::2], r[top, lft])
-    _average(red[0::2, 1::2], r[top, lft], r[top, rgt])
-    _average(red[1::2, 0::2], r[top, lft], r[bot, lft])
-    _average(red[1::2, 1::2], r[top, lft], r[top, rgt], r[bot, lft], r[bot, rgt])
-    # up, left, right, down
+    # The cross kernel's row-major tap order: up, left, right, down.
     _average(green[0::2, 0::2], g2[top, lft], g1[top, lft], g1[top, rgt], g2[bot, lft])
     _average(green[0::2, 1::2], g1[top, rgt])
     _average(green[1::2, 0::2], g2[bot, lft])
     _average(green[1::2, 1::2], g1[top, rgt], g2[bot, lft], g2[bot, rgt], g1[bot, rgt])
-    _average(blue[0::2, 0::2], b[top, lft], b[top, rgt], b[bot, lft], b[bot, rgt])
-    _average(blue[0::2, 1::2], b[top, rgt], b[bot, rgt])
-    _average(blue[1::2, 0::2], b[bot, lft], b[bot, rgt])
-    _average(blue[1::2, 1::2], b[bot, rgt])
     return red, green, blue
 
 
@@ -277,28 +262,35 @@ def _demosaic_edge(raw: np.ndarray) -> tuple:
     Green at R/B sites picks the horizontal or vertical neighbor average by
     the smaller gradient and adds a same-color second-difference correction,
     so the green plane carries genuine cross-channel terms. Chroma is
-    reconstructed by difference interpolation.
+    reconstructed by difference interpolation: the bilinear red/blue fill of
+    colour minus green, plus green.
     """
-    pad = np.pad(raw, 2, mode="reflect")
-    rmask, gmask, bmask = _bayer_masks(pad.shape)
-    left = np.roll(pad, 1, axis=1)
-    right = np.roll(pad, -1, axis=1)
-    up = np.roll(pad, 1, axis=0)
-    down = np.roll(pad, -1, axis=0)
-    left2 = np.roll(pad, 2, axis=1)
-    right2 = np.roll(pad, -2, axis=1)
-    up2 = np.roll(pad, 2, axis=0)
-    down2 = np.roll(pad, -2, axis=0)
+    h, w = raw.shape
+    # Green is estimated on the raw and the 1-px ring that chroma reads. The ring's two-away taps
+    # wrap round the 2-px reflect pad to its far side: the recorded ed_* outputs pin those ring
+    # pixels, and ROADMAP item 6 has the reflect-only fix.
+    pad = np.pad(np.pad(raw, 2, mode="reflect"), 1, mode="wrap")
+
+    def at(dy, dx):
+        return pad[2 + dy : h + 4 + dy, 2 + dx : w + 4 + dx]
+
+    mid, left, right, up, down = at(0, 0), at(0, -1), at(0, 1), at(-1, 0), at(1, 0)
     dh = np.abs(left - right)
     dv = np.abs(up - down)
-    est_h = 0.5 * (left + right) + 0.25 * (2.0 * pad - left2 - right2)
-    est_v = 0.5 * (up + down) + 0.25 * (2.0 * pad - up2 - down2)
-    est = np.where(dh < dv, est_h, np.where(dv < dh, est_v, 0.5 * (est_h + est_v)))
-    green = np.where(gmask, pad, est)
-    # Chroma by difference interpolation: own-color sites pass through.
-    r = green + _correlate3((pad - green) * rmask, _K_RB) / 4.0
-    b = green + _correlate3((pad - green) * bmask, _K_RB) / 4.0
-    return r[2:-2, 2:-2], green[2:-2, 2:-2], b[2:-2, 2:-2]
+    est_h = 0.5 * (left + right) + 0.25 * (2.0 * mid - at(0, -2) - at(0, 2))
+    est_v = 0.5 * (up + down) + 0.25 * (2.0 * mid - at(-2, 0) - at(2, 0))
+    green = np.where(dh < dv, est_h, np.where(dv < dh, est_v, 0.5 * (est_h + est_v)))
+    # The ring puts the raw's G sites at green's (even, odd) and (odd, even), and lays out red's and
+    # blue's quarters as _spread reads them.
+    green[0::2, 1::2] = mid[0::2, 1::2]
+    green[1::2, 0::2] = mid[1::2, 0::2]
+    red, blue = np.empty((2, h, w))
+    _spread(red, mid[1::2, 1::2] - green[1::2, 1::2], 0)
+    _spread(blue, mid[0::2, 0::2] - green[0::2, 0::2], 1)
+    green = green[1:-1, 1:-1]
+    red += green
+    blue += green
+    return red, green, blue
 
 
 _DEMOSAICERS = {

@@ -120,7 +120,10 @@ def load_map_json(path) -> HeatMap:
         for key in ("rows", "cols", "window", "stride"):
             if type(obj[key]) is not int or obj[key] < 1:  # bool is not int here
                 raise ValueError(f"{key} must be an integer >= 1, got {obj[key]!r}")
-        grid = np.array(obj["values"], dtype=np.float64).reshape(obj["rows"], obj["cols"])
+        values = obj["values"]
+        if type(values) is not list or not all(type(v) in (int, float) for v in values):  # nor bool, nor nested
+            raise ValueError("values must be a flat list of numbers")
+        grid = np.array(values, dtype=np.float64).reshape(obj["rows"], obj["cols"])
         hmap = HeatMap(grid, obj["window"], obj["stride"])
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -6,7 +6,7 @@ from scipy.ndimage import uniform_filter
 from scipy.signal import convolve
 
 from prnukit.denoise import apply_denoiser, gaussian_denoise
-from prnukit.ispsim import _K_RB, _bayer_masks, output_shape
+from prnukit.ispsim import output_shape
 from prnukit.matching import PceScore, _pair, signed_shift
 
 
@@ -58,6 +58,17 @@ def pinned_pce(surface, exclusion_radius, peak=None) -> PceScore:
     return PceScore(value, peak_value, (signed_shift(px, w), signed_shift(py, h)))
 
 
+def _bayer_masks(shape):
+    """Boolean RGGB site masks (red, green, blue) of a plane of ``shape``."""
+    h, w = shape
+    odd_row = (np.arange(h) % 2)[:, None].astype(bool)
+    odd_col = (np.arange(w) % 2)[None, :].astype(bool)
+    r = ~odd_row & ~odd_col
+    b = odd_row & odd_col
+    g = ~(r | b)
+    return r, g, b
+
+
 def capture(scene, sensor, seed: int = 0) -> np.ndarray:
     """``ispsim.capture`` through boolean Bayer masks and nested ``np.where``, each step into a
     new array."""
@@ -74,7 +85,8 @@ def capture(scene, sensor, seed: int = 0) -> np.ndarray:
     return np.clip(signal + noise, 0.0, 1.0)
 
 
-# The bilinear demosaic's green kernel; symmetric, like ispsim's _K_RB.
+# The bilinear demosaic's kernels, red/blue and green; symmetric, so correlating is convolving.
+_K_RB = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]])
 _K_G = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]])
 
 

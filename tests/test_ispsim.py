@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +220,18 @@ def test_develop_matches_the_interleaved_reference_render(h, w):
             assert np.array_equal(out, want), cfg.id
 
 
+def test_edge_demosaic_peak_memory_is_at_most_four_outputs():
+    raw = np.random.default_rng(0).random((512, 512))
+    tracemalloc.start()
+    try:
+        planes = ispsim._demosaic_edge(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(p.nbytes for p in planes)  # 6.3 MB
+    assert peak <= 4 * output, peak / output
+
+
 def test_develop_deterministic():
     sensor = synth_sensor(64, 64, seed=10)
     raw = capture(synth_scene(64, 64, "texture", seed=11), sensor, seed=12)
@@ -263,6 +277,10 @@ def test_develop_validation():
         PipelineConfig("bad", white_balance=(0.0, 1.0))
     with pytest.raises(ValueError):
         PipelineConfig("bad", crop_offset=(-1, 0))
+    # Built from Python, not through the JSON codec, which checks the length itself.
+    for field, value in [("white_balance", (1.0,)), ("white_balance", (1.0, 1.0, 2.0)), ("crop_offset", (1, 2, 3))]:
+        with pytest.raises(ValueError, match=rf"^{field} must be a pair, got {re.escape(repr(value))}$"):
+            PipelineConfig("bad", **{field: value})
     for offset in ((63, 0), (0, 64), (100, 100)):  # a crop that leaves one column, or none, of a 64x64 sensor
         with pytest.raises(ValueError, match=r"^crop_offset must be at most \[62, 62\] on the 64x64 sensor"):
             develop(np.zeros((64, 64)), PipelineConfig("crop", crop_offset=offset))

@@ -223,9 +223,11 @@ def test_map_json_roundtrip(tmp_path):
         ('{"rows": -1, "cols": 2, "window": 8, "stride": 4, "values": [0.5, 0.25]}', "rows must be an integer >= 1, got -1"),
         ('{"rows": 0, "cols": 0, "window": 8, "stride": 4, "values": []}', "rows must be an integer >= 1, got 0"),
         ('{"rows": 1, "cols": "2", "window": 8, "stride": 4, "values": [0.5, 0.25]}', "cols must be an integer >= 1, got '2'"),
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": 4, "values": [[0.1, 0.5]]}', "values must be a flat list of numbers"),
+        ('{"rows": 1, "cols": 2, "window": 8, "stride": 4, "values": [true, 0.5]}', "values must be a flat list of numbers"),
     ],
     ids=["truncated", "no-values", "top-level-list", "wrong-size", "nan", "fractional-window", "negative-stride",
-         "bool-window", "negative-rows", "empty", "string-cols"],
+         "bool-window", "negative-rows", "empty", "string-cols", "nested-values", "bool-value"],
 )
 def test_load_map_json_names_the_file_of_a_malformed_map(tmp_path, text, message):
     path = tmp_path / "map.json"
