@@ -98,5 +98,5 @@ def _value_from_json(tp, value, path: str):
 
 def check_id(what: str, value: str) -> None:
     """Reject an id that cannot name one directory of the dataset tree or go into an ASCII header."""
-    if value in ("", ".", "..") or "/" in value or "\\" in value or not (value.isascii() and value.isprintable()):
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value or not (value.isascii() and value.isprintable()):
         raise ValueError(f"{what} id {value!r} must be a non-empty printable ASCII name without '/' or '\\'")

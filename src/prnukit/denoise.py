@@ -65,13 +65,17 @@ def local_signal_variance(coeff: np.ndarray, noise_variance: float) -> np.ndarra
     np.multiply(coeff, coeff, out=table[..., r + 1 : r + 1 + h, r + 1 : r + 1 + w])
     np.cumsum(table, axis=-2, out=table)
     np.cumsum(table, axis=-1, out=table)
-    est = None
+    # one row-difference and one mean buffer serve every size; the first size's mean is the estimate
+    rows = np.empty(table.shape[:-2] + (h, table.shape[-1]))
+    est, mean = np.empty(coeff.shape), np.empty(coeff.shape)
     for size in _WINDOW_SIZES:
         a = r - size // 2
-        rows = table[..., a + size : a + size + h, :] - table[..., a : a + h, :]
-        mean = rows[..., a + size : a + size + w] - rows[..., a : a + w]
-        mean /= size * size
-        est = mean if est is None else np.minimum(est, mean, out=est)
+        np.subtract(table[..., a + size : a + size + h, :], table[..., a : a + h, :], out=rows)
+        out = est if size == _WINDOW_SIZES[0] else mean
+        np.subtract(rows[..., a + size : a + size + w], rows[..., a : a + w], out=out)
+        out /= size * size
+        if out is mean:
+            np.minimum(est, mean, out=est)
     est -= noise_variance
     return np.maximum(est, 0.0, out=est)
 

@@ -54,7 +54,8 @@ def residual(image, denoiser: DenoiserSpec) -> np.ndarray:
     p = as_plane(image)
     if not np.isfinite(p).all():
         raise DegenerateInputError("image has non-finite samples")
-    return p - apply_denoiser(p, denoiser)
+    d = apply_denoiser(p, denoiser)
+    return np.subtract(p, d, out=d)  # in the denoiser's output buffer, which nothing else holds
 
 
 class FingerprintAccumulator:

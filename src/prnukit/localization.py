@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _pool
 from .denoise import DenoiserSpec
-from .errors import FormatError, ShapeError
+from .errors import DegenerateInputError, FormatError, ShapeError
 from .fingerprint import residual
 from .imaging import as_plane, save_image
 from .matching import match_windows, p_value, window_origins
@@ -99,7 +99,13 @@ def render_map(hmap: HeatMap, path, postprocess: str = "none") -> None:
 
 
 def save_map_json(hmap: HeatMap, path) -> None:
-    """Write the map as JSON, making ``path``'s parent directory if need be."""
+    """Write the map as JSON, making ``path``'s parent directory if need be.
+
+    A non-finite value raises DegenerateInputError before anything is
+    written, as :func:`load_map_json` would refuse the file.
+    """
+    if not np.isfinite(hmap.grid).all():
+        raise DegenerateInputError(f"{path}: map has non-finite values")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows, cols = hmap.grid.shape

@@ -90,9 +90,12 @@ def p_value(pce_value: float) -> float:
     normal, so sqrt(PCE) ~ |N(0, 1)| and p = erfc(sqrt(max(pce, 0))/sqrt(2))/2.
     Monotone non-increasing in pce; p = 0.5 at pce = 0. It is the value of
     one shift: the search correction (ROADMAP item 4) adds the count of
-    shifts searched, which is 1 for a pinned peak.
+    shifts searched, which is 1 for a pinned peak. A NaN PCE raises ValueError.
     """
-    return 0.5 * math.erfc(math.sqrt(max(float(pce_value), 0.0)) / math.sqrt(2.0))
+    value = float(pce_value)
+    if math.isnan(value):
+        raise ValueError(f"pce must be a number, got {pce_value!r}")
+    return 0.5 * math.erfc(math.sqrt(max(value, 0.0)) / math.sqrt(2.0))
 
 
 def _around(center: int, n: int, radius: int) -> np.ndarray:
@@ -174,10 +177,8 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     """
     pa, pb = common_crop_planes([as_plane(fa), as_plane(fb)])
     h, w = pa.shape
-    if max_shift < 0 or max_shift >= min(h, w) / 2:
-        raise ValueError(
-            f"max_shift {max_shift} must be in [0, {min(h, w)}/2)"
-        )
+    if not isinstance(max_shift, (int, np.integer)) or not 0 <= max_shift < min(h, w) / 2:
+        raise ValueError(f"max_shift {max_shift} must be an integer in [0, {min(h, w)}/2)")
     rows, cols = _around(0, h, max_shift), _around(0, w, max_shift)
     box = _surface(_cross_power(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0)), h, cols)[rows]
     best = box.max()
@@ -212,6 +213,9 @@ def window_origins(shape, size: int, stride: int | None = None) -> list:
     """
     h, w = shape
     stride = size if stride is None else stride
+    for name, value in (("window size", size), ("stride", stride)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
     if stride < 1:

@@ -110,8 +110,20 @@ def decompose(plane: np.ndarray, levels: int):
 
 
 def reconstruct(approx: np.ndarray, details, shapes) -> np.ndarray:
-    """Invert :func:`decompose` exactly (up to float rounding)."""
+    """Invert :func:`decompose` exactly (up to float rounding).
+
+    Consumes ``details``, which it leaves empty: each level is popped, coarsest
+    first, and each of its planes reaches :func:`_synthesize` as its only
+    reference, so it is freed before the steps that read it run.
+    """
     cur = approx
-    for (lh, hl, hh), (h, w) in zip(reversed(details), reversed(shapes)):
-        cur = _synthesize(_synthesize(cur, hl, -2, h), _synthesize(lh, hh, -2, h), -1, w)
+    for h, w in reversed(shapes):
+        planes = [cur, *details.pop()]  # the level's approx, lh, hl, hh
+        del cur
+        cur = _synthesize(
+            _synthesize(planes.pop(0), planes.pop(1), -2, h),  # approx with hl
+            _synthesize(planes.pop(0), planes.pop(0), -2, h),  # lh with hh
+            -1,
+            w,
+        )
     return cur

@@ -558,9 +558,19 @@ def test_experiment_config_validation():
     ):
         with pytest.raises(ValueError, match="camera"):
             _tiny_config(**kw)
-    for bad_id in ("", "p/a", "p\\a", "."):
+    for bad_id in ("", "p/a", "p\\a", ".", 5):
         with pytest.raises(ValueError, match="pipeline id"):
             PipelineConfig(bad_id)
+    # the Python API refuses, at construction, what the JSON reader refuses
+    for kw, message in (
+        ({"cameras": (5,)}, "camera id 5 "),
+        ({"patch_sizes": (64.0,)}, "window size must be an integer, got 64.0"),
+        ({"n_test": 2.5}, "^n_test must be an integer, got 2.5$"),
+        ({"n_estimation": 2.0}, "^n_estimation must be an integer, got 2.0$"),
+        ({"max_shift": 3.5}, "^max_shift must be an integer, got 3.5$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**kw)
 
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"

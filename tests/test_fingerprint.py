@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prnukit.denoise import DenoiserSpec
+from prnukit.denoise import DenoiserSpec, apply_denoiser
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import (
     SATURATION_THRESHOLD,
@@ -167,9 +167,27 @@ def test_residual_identity_gaussian():
     img = rng.random((32, 32))
     spec = DenoiserSpec("gaussian", sigma=1.0)
     res = residual(img, spec)
-    from prnukit.denoise import apply_denoiser
-
     assert np.allclose(res + apply_denoiser(img, spec), img, atol=0)
+
+
+@pytest.mark.parametrize("spec", [DenoiserSpec("gaussian", sigma=1.1), DenoiserSpec()], ids=["gaussian", "wavelet"])
+def test_residual_is_the_plain_difference_bit_for_bit(spec):
+    # The blur returns a view of a wider buffer; the residual is formed in place in it.
+    img = np.random.default_rng(17).random((64, 48))
+    assert residual(img, spec).tobytes() == (img - apply_denoiser(img, spec)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (1536, 2048)])
+def test_residual_peak_memory(shape):
+    # Each wavelet level is freed as it is synthesized and R = I - D(I) reuses D's buffer.
+    plane = 0.5 + 0.05 * np.random.default_rng(15).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        residual(plane, DenoiserSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * plane.nbytes, peak
 
 
 def test_residual_correlates_with_multiplicative_pattern():

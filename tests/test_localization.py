@@ -102,6 +102,8 @@ def test_pce_map_validation():
         pce_map(img, k, window=32, stride=0)
     with pytest.raises(ValueError, match="exclusion zone"):
         pce_map(img, k, window=11, stride=4)
+    with pytest.raises(ValueError, match="window size must be an integer, got 32.0"):
+        pce_map(img, k, 32.0, 16)
 
 
 def test_pce_map_zero_fingerprint_degenerate():
@@ -197,6 +199,16 @@ def test_render_rejects_a_non_finite_map(tmp_path):
 def test_render_rejects_unknown_postprocess(tmp_path):
     with pytest.raises(ValueError):
         render_map(HeatMap(np.zeros((2, 2)), 8, 4), tmp_path / "x.pgm", postprocess="blur")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_map_json_refuses_a_map_the_reader_would_refuse(tmp_path, bad):
+    grid = np.full((2, 3), 4.0)
+    grid[1, 2] = bad
+    path = tmp_path / "out" / "map.json"
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        save_map_json(HeatMap(grid, 32, 16), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_map_json_roundtrip(tmp_path):

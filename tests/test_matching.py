@@ -153,6 +153,12 @@ def test_p_value_endpoints():
     assert p_value(4.0) == pytest.approx(0.02275, abs=2e-5)
     # independent oracle: standard-normal survival function
     assert p_value(4.0) == pytest.approx(scipy.stats.norm.sf(2.0), rel=1e-12)
+    assert p_value(float("inf")) == 0.0
+
+
+def test_p_value_refuses_nan():
+    with pytest.raises(ValueError, match="nan"):
+        p_value(float("nan"))
 
 
 @settings(max_examples=100)
@@ -207,6 +213,8 @@ def test_align_validation():
         align(a, a, max_shift=16)  # not < min(dim)/2
     with pytest.raises(ValueError):
         align(a, b, max_shift=10)  # the bound comes from the 30x20 rectangle
+    with pytest.raises(ValueError, match="max_shift 3.5 must be an integer"):
+        align(a, b, max_shift=3.5)
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (252, 252), (64, 96), (100, 70), (31, 33)])
@@ -439,6 +447,10 @@ def test_tile_errors():
         window_origins((64, 64), 8, 0)
     with pytest.raises(ValueError, match="stride"):
         window_origins((64, 64), 8, -1)
+    with pytest.raises(ValueError, match="^window size must be an integer, got 32.0$"):
+        window_origins((64, 64), 32.0)
+    with pytest.raises(ValueError, match="^stride must be an integer, got 16.0$"):
+        window_origins((64, 64), 32, 16.0)
     # the smallest window the 11x11 exclusion block leaves room in is 12x12
     with pytest.raises(ValueError, match="^surface 11x11 not larger than the 11x11 exclusion zone$"):
         window_origins((64, 64), 11, 4)
