@@ -8,7 +8,8 @@ JSON lists, numbers may be JSON strings, an int takes no fraction, a float
 must be finite (``"nan"``, ``"inf"`` and the ``NaN`` literal fail). A class
 with a ``KIND_PARAM`` table (kind -> field) is written as its kind plus the
 one parameter that kind uses, and knows no other parameter key.
-``check_id`` is the rule for ids that name dataset directories.
+``check_id`` is the rule for ids that name dataset directories, ``check_int``
+the one for integers passed in from Python.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import typing
 
 
@@ -100,3 +102,9 @@ def check_id(what: str, value: str) -> None:
     """Reject an id that cannot name one directory of the dataset tree or go into an ASCII header."""
     if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value or not (value.isascii() and value.isprintable()):
         raise ValueError(f"{what} id {value!r} must be a non-empty printable ASCII name without '/' or '\\'")
+
+
+def check_int(name: str, value) -> None:
+    """Reject a value that is not an integer, bool included, as the JSON reader refuses both for an int field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -87,9 +87,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("seed", "n_estimation", "n_test", "max_shift"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _config.check_int(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.cameras) < 1:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _config
 from .errors import DegenerateInputError, ShapeError
 from .imaging import as_plane, common_crop_planes
 
@@ -177,8 +178,9 @@ def align(fa, fb, max_shift: int = DEFAULT_MAX_SHIFT):
     """
     pa, pb = common_crop_planes([as_plane(fa), as_plane(fb)])
     h, w = pa.shape
-    if not isinstance(max_shift, (int, np.integer)) or not 0 <= max_shift < min(h, w) / 2:
-        raise ValueError(f"max_shift {max_shift} must be an integer in [0, {min(h, w)}/2)")
+    _config.check_int("max_shift", max_shift)
+    if not 0 <= max_shift < min(h, w) / 2:
+        raise ValueError(f"max_shift {max_shift} must be in [0, {min(h, w)}/2)")
     rows, cols = _around(0, h, max_shift), _around(0, w, max_shift)
     box = _surface(_cross_power(np.fft.rfft(pa, axis=0), np.fft.rfft(pb, axis=0)), h, cols)[rows]
     best = box.max()
@@ -213,9 +215,8 @@ def window_origins(shape, size: int, stride: int | None = None) -> list:
     """
     h, w = shape
     stride = size if stride is None else stride
-    for name, value in (("window size", size), ("stride", stride)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _config.check_int("window size", size)
+    _config.check_int("stride", stride)
     if size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
     if stride < 1:

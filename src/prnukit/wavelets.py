@@ -60,13 +60,16 @@ def _lift(phases, sign: int) -> None:
             np.add(lines[dst][lo:hi], term, out=lines[dst][lo:hi])
 
 
-def _analyze(ext: np.ndarray, axis: int):
-    """Lowpass and highpass coefficients of ``ext`` along ``axis``: views into
-    the two phase buffers, which are the subbands once scaled in place."""
-    ext = np.swapaxes(ext, axis, -1)
+def _analyze(planes: list, axis: int):
+    """Lowpass and highpass coefficients along ``axis`` of the extended plane
+    popped from ``planes``: views into the two phase buffers, which are the
+    subbands once scaled in place. Taking the plane from a list, as
+    :func:`_synthesize` does its inputs, lets a caller's temporary go before
+    the steps run."""
+    ext = np.swapaxes(planes.pop(), axis, -1)
     n = (ext.shape[-1] - 9) // 2 + 1
     phases = [ext[..., start : start + 2 * (n + _REACH) : 2].copy(order="K") for start in (1, 2)]
-    del ext  # a caller's temporary goes before the steps run
+    del ext
     _lift(phases, 1)
     lo, hi = phases[0][..., :n], phases[1][..., _REACH:]
     lo *= _K
@@ -74,14 +77,20 @@ def _analyze(ext: np.ndarray, axis: int):
     return np.swapaxes(lo, axis, -1), np.swapaxes(hi, axis, -1)
 
 
-def _synthesize(lo: np.ndarray, hi: np.ndarray, axis: int, n: int) -> np.ndarray:
+def _synthesize(bands: list, axis: int, n: int) -> np.ndarray:
     """Invert one analysis step along ``axis`` on the ``n`` original samples,
-    which sit at x_o[3], x_e[3], x_o[4], ... of the recovered phases."""
-    lo, hi = np.swapaxes(lo, axis, -1), np.swapaxes(hi, axis, -1)
+    which sit at x_o[3], x_e[3], x_o[4], ... of the recovered phases.
+
+    Pops the lowpass and highpass planes from ``bands``: a caller that hands
+    over its only references has them freed before the steps run, on every
+    interpreter (before 3.11, a caller's stack keeps its own arguments alive).
+    """
+    hi = np.swapaxes(bands.pop(), axis, -1)
+    lo = np.swapaxes(bands.pop(), axis, -1)
     phases = [np.zeros_like(lo, shape=lo.shape[:-1] + (lo.shape[-1] + _REACH,)) for _ in range(2)]
     np.multiply(lo, _INV_K, out=phases[0][..., : lo.shape[-1]])
     np.multiply(hi, _K, out=phases[1][..., _REACH:])
-    del lo, hi  # the callers' temporaries go before the steps run
+    del lo, hi
     _lift(phases, -1)
     out = np.empty_like(phases[0], shape=phases[0].shape[:-1] + (n,))
     out[..., 0::2] = phases[0][..., _REACH : _REACH + (n + 1) // 2]
@@ -102,9 +111,9 @@ def decompose(plane: np.ndarray, levels: int):
     details, shapes = [], []
     for _ in range(levels):
         shapes.append(cur.shape)
-        rows = _analyze(np.pad(cur, _PAD, mode="symmetric"), -1)  # row lowpass, row highpass
-        cur, hl = _analyze(rows[0], -2)
-        lh, hh = _analyze(rows[1], -2)
+        rows = _analyze([np.pad(cur, _PAD, mode="symmetric")], -1)  # row lowpass, row highpass
+        cur, hl = _analyze([rows[0]], -2)
+        lh, hh = _analyze([rows[1]], -2)
         details.append((lh, hl, hh))
     return cur, details, shapes
 
@@ -113,17 +122,13 @@ def reconstruct(approx: np.ndarray, details, shapes) -> np.ndarray:
     """Invert :func:`decompose` exactly (up to float rounding).
 
     Consumes ``details``, which it leaves empty: each level is popped, coarsest
-    first, and each of its planes reaches :func:`_synthesize` as its only
-    reference, so it is freed before the steps that read it run.
+    first, and its planes are handed to :func:`_synthesize` as their only
+    references, so each is freed before the steps that read it run.
     """
     cur = approx
     for h, w in reversed(shapes):
-        planes = [cur, *details.pop()]  # the level's approx, lh, hl, hh
-        del cur
-        cur = _synthesize(
-            _synthesize(planes.pop(0), planes.pop(1), -2, h),  # approx with hl
-            _synthesize(planes.pop(0), planes.pop(0), -2, h),  # lh with hh
-            -1,
-            w,
-        )
+        lh, hl, hh = details.pop()
+        low, high = [cur, hl], [lh, hh]
+        del cur, lh, hl, hh
+        cur = _synthesize([_synthesize(low, -2, h), _synthesize(high, -2, h)], -1, w)
     return cur

@@ -568,6 +568,8 @@ def test_experiment_config_validation():
         ({"n_test": 2.5}, "^n_test must be an integer, got 2.5$"),
         ({"n_estimation": 2.0}, "^n_estimation must be an integer, got 2.0$"),
         ({"max_shift": 3.5}, "^max_shift must be an integer, got 3.5$"),
+        ({"n_test": True}, "^n_test must be an integer, got True$"),
+        ({"patch_sizes": (True,)}, "window size must be an integer, got True"),
     ):
         with pytest.raises(ValueError, match=message):
             _tiny_config(**kw)

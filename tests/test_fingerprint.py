@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prnukit import wavelets
 from prnukit.denoise import DenoiserSpec, apply_denoiser
 from prnukit.errors import DegenerateInputError, FormatError, ShapeError
 from prnukit.fingerprint import (
@@ -177,9 +178,23 @@ def test_residual_is_the_plain_difference_bit_for_bit(spec):
     assert residual(img, spec).tobytes() == (img - apply_denoiser(img, spec)).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(512, 512), (1536, 2048)])
-def test_residual_peak_memory(shape):
-    # Each wavelet level is freed as it is synthesized and R = I - D(I) reuses D's buffer.
+def _callers_hold_arguments(monkeypatch):
+    """Wrap the transform steps so that each call's arguments stay alive until it returns,
+    as a caller's stack keeps them before CPython 3.11."""
+    for name in ("_analyze", "_synthesize"):
+        step = getattr(wavelets, name)
+        monkeypatch.setattr(wavelets, name, lambda *args, step=step: step(*args))
+
+
+@pytest.mark.parametrize(
+    "shape, held", [((512, 512), False), ((1536, 2048), False), ((512, 512), True)],
+    ids=["512x512", "1536x2048", "512x512-held-arguments"],
+)
+def test_residual_peak_memory(shape, held, monkeypatch):
+    # Each wavelet level is freed as it is synthesized and R = I - D(I) reuses D's buffer,
+    # on every interpreter: the steps pop their inputs from lists rather than rely on argument lifetimes.
+    if held:
+        _callers_hold_arguments(monkeypatch)
     plane = 0.5 + 0.05 * np.random.default_rng(15).standard_normal(shape)
     tracemalloc.start()
     try:

@@ -213,8 +213,9 @@ def test_align_validation():
         align(a, a, max_shift=16)  # not < min(dim)/2
     with pytest.raises(ValueError):
         align(a, b, max_shift=10)  # the bound comes from the 30x20 rectangle
-    with pytest.raises(ValueError, match="max_shift 3.5 must be an integer"):
-        align(a, b, max_shift=3.5)
+    for bad in (3.5, True):
+        with pytest.raises(ValueError, match=f"^max_shift must be an integer, got {bad}$"):
+            align(a, b, max_shift=bad)
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (252, 252), (64, 96), (100, 70), (31, 33)])
@@ -451,6 +452,8 @@ def test_tile_errors():
         window_origins((64, 64), 32.0)
     with pytest.raises(ValueError, match="^stride must be an integer, got 16.0$"):
         window_origins((64, 64), 32, 16.0)
+    with pytest.raises(ValueError, match="^stride must be an integer, got True$"):
+        window_origins((64, 64), 32, True)
     # the smallest window the 11x11 exclusion block leaves room in is 12x12
     with pytest.raises(ValueError, match="^surface 11x11 not larger than the 11x11 exclusion zone$"):
         window_origins((64, 64), 11, 4)
