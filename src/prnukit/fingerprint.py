@@ -5,9 +5,8 @@ fingerprint is the per-pixel weighted aggregate
 
     k = sum_i(R_i * I_i) / sum_i(I_i^2)
 
-over the input images, with pixels whose denominator is zero set to 0. The
-estimate from image files, which ``prnukit estimate`` and the evaluation
-harness both take, sums only the samples below ``SATURATION_THRESHOLD``.
+over the input images, with pixels whose denominator is zero set to 0. Every
+estimate sums only the samples below ``SATURATION_THRESHOLD``.
 Cleanup subtracts row means then column means, removing linear gradients
 the imaging pipeline tends to share across cameras.
 """
@@ -21,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _pool
+from . import _config, _pool
 from .denoise import DenoiserSpec, apply_denoiser, local_signal_variance
 from .errors import DegenerateInputError, FormatError, ShapeError
 from .imaging import as_plane, load_image, to_luminance
 
 # Normalized-intensity level at and above which a sample is treated as
-# saturated (254 on the 8-bit scale) and left out of estimate_from_files'
-# sums. Saturated pixels carry no usable multiplicative signal.
+# saturated (254 on the 8-bit scale) and left out of every estimate's sums.
+# Saturated pixels carry no usable multiplicative signal.
 SATURATION_THRESHOLD = 254.0 / 255.0
 
 _MAGIC = b"PRNU1\n"
@@ -62,14 +61,12 @@ class FingerprintAccumulator:
     """Streaming form of the estimator: the two running sums of k.
 
     Feed (image, residual) pairs one at a time with :meth:`add`; memory stays
-    at two H x W planes however many images are added. When
-    ``saturation_threshold`` is given, samples at or above it are excluded
-    from both sums on a per-image basis; :func:`estimate_from_files` gives
-    ``SATURATION_THRESHOLD``, and :func:`estimate_fingerprint` gives none.
+    at two H x W planes however many images are added. Samples at or above
+    ``SATURATION_THRESHOLD`` are excluded from both sums on a per-image basis,
+    in every estimate.
     """
 
-    def __init__(self, saturation_threshold: float | None = None):
-        self.saturation_threshold = saturation_threshold
+    def __init__(self):
         self.n = 0
         self._num = None
         self._den = None
@@ -91,8 +88,7 @@ class FingerprintAccumulator:
         if self._num is None:
             self._num = np.zeros(shape)
             self._den = np.zeros(shape)
-        # No threshold is a cut at inf, which keeps every (finite) sample.
-        keep = im < (np.inf if self.saturation_threshold is None else self.saturation_threshold)
+        keep = im < SATURATION_THRESHOLD
         self._num += np.where(keep, r * im, 0.0)
         self._den += np.where(keep, im * im, 0.0)
         self.n += 1
@@ -102,7 +98,7 @@ class FingerprintAccumulator:
         if self.n == 0:
             raise ValueError("need at least one image and one residual")
         if not (self._den > 0).any():  # k would be all zeros, which no match can score
-            raise DegenerateInputError(f"no sample below the saturation threshold {self.saturation_threshold} carries signal")
+            raise DegenerateInputError(f"no sample below the saturation threshold {SATURATION_THRESHOLD} carries signal")
         k = np.divide(
             self._num, self._den, out=np.zeros(self._num.shape), where=self._den > 0
         )
@@ -118,7 +114,7 @@ def load_residual(denoiser: DenoiserSpec, path):
 def estimate_from_files(paths, denoiser, camera_id, pipeline_id) -> Fingerprint:
     """Uncleaned estimate from the image files ``paths``, summed in their order
     over the samples below ``SATURATION_THRESHOLD``; ShapeError names the file."""
-    acc = FingerprintAccumulator(SATURATION_THRESHOLD)
+    acc = FingerprintAccumulator()
     with closing(_pool.ordered_map(partial(load_residual, denoiser), paths)) as pairs:
         for p, (im, res) in zip(paths, pairs):
             try:
@@ -129,7 +125,7 @@ def estimate_from_files(paths, denoiser, camera_id, pipeline_id) -> Fingerprint:
 
 
 def estimate_fingerprint(images, residuals) -> Fingerprint:
-    """Aggregate residuals into a fingerprint estimate, with no saturation cut.
+    """The list form of the one estimate, summed in list order, saturation cut included.
 
     ``images`` and ``residuals`` are equal-length lists of same-size planes;
     see :class:`FingerprintAccumulator` for the sums and their checks.
@@ -178,8 +174,8 @@ def whiten_plane(plane: np.ndarray) -> np.ndarray:
 
 
 def check_header_id(label: str, value: str) -> None:
-    """ValueError unless ``value`` can go into a fingerprint file's header: ASCII without newlines."""
-    if "\n" in value or not value.isascii():
+    """ValueError unless ``value`` can go into a fingerprint file's header: an ASCII str without newlines."""
+    if not isinstance(value, str) or "\n" in value or not value.isascii():
         raise ValueError(f"{label} id {value!r} must be ASCII without newlines")
 
 
@@ -188,6 +184,7 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
     plane = as_plane(fp.plane)
     if not np.isfinite(plane).all():  # load_fingerprint would refuse the file
         raise DegenerateInputError(f"{path}: fingerprint plane has non-finite values")
+    _config.check_int("n_sources", fp.n_sources)  # load_fingerprint reads an integer
     if fp.n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {fp.n_sources}")
     check_header_id("camera", fp.camera_id)

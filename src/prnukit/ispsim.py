@@ -71,6 +71,8 @@ class PipelineConfig:
         for name in ("white_balance", "crop_offset"):
             if np.shape(getattr(self, name)) != (2,):  # the JSON codec checks lengths; Python callers skip it
                 raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
+        for value in self.crop_offset:
+            _config.check_int("crop_offset", value)
         if not all(0.0 < gain < np.inf for gain in self.white_balance):
             raise ValueError(f"white_balance gains must be finite and > 0, got {self.white_balance}")
         if self.sharpen is not None and not np.isfinite(self.sharpen):
@@ -95,6 +97,7 @@ class SensorSpec:
     def __post_init__(self):
         for name in ("width", "height"):
             value = getattr(self, name)
+            _config.check_int(name, value)
             if value < 64 or value % 2:
                 raise ValueError(f"{name} must be even (full Bayer quads) and >= 64, got {value}")
         if not 0.0 < self.strength <= 0.1:

@@ -253,7 +253,9 @@ def match_windows(
     img, res = _pair(test_image, test_residual)
     _, k = _pair(img, fingerprint)
     shape = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
-    if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
+    for n in shape:
+        _config.check_int("size", n)
+    if len(shape) != 2 or min(shape) < 1:
         raise ValueError(f"size must be an int or an (h, w) pair of ints >= 1, got {size!r}")
     (sh, sw), (h, w) = shape, img.shape
     for x, y in origins:

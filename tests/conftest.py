@@ -14,7 +14,7 @@ from prnukit.evalharness import (
     estimate_fingerprint_sets,
     pce_sweep,
 )
-from prnukit.fingerprint import SATURATION_THRESHOLD, FingerprintAccumulator, clean_fingerprint, residual
+from prnukit.fingerprint import FingerprintAccumulator, clean_fingerprint, residual
 from prnukit.imaging import common_crop_planes, load_image, to_luminance
 from prnukit.ispsim import DEFAULT_PIPELINES, SensorSpec
 from prnukit.matching import align, ncc
@@ -57,7 +57,7 @@ def _full_and_halves(denoiser, unit):
     """(full, even-index half, odd-index half) fingerprints of one (camera,
     pipeline id, estimation paths) unit, from one residual per image."""
     cam, pid, paths = unit
-    full, *halves = (FingerprintAccumulator(SATURATION_THRESHOLD) for _ in range(3))
+    full, *halves = (FingerprintAccumulator() for _ in range(3))
     for i, path in enumerate(paths):
         img = to_luminance(load_image(path))
         res = residual(img, denoiser)

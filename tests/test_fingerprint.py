@@ -26,24 +26,24 @@ from prnukit.matching import match_patch, ncc
 
 
 def test_single_image_ratio():
-    img = np.full((4, 4), 2.0)
-    res = np.full((4, 4), 0.5)
+    img = np.full((4, 4), 0.8)
+    res = np.full((4, 4), 0.2)
     fp = estimate_fingerprint([img], [res])
     assert np.allclose(fp.plane, 0.25)
     assert fp.n_sources == 1
 
 
 def test_two_image_weighted_ratio():
-    imgs = [np.full((2, 2), 1.0), np.full((2, 2), 1.0)]
-    res = [np.full((2, 2), 0.2), np.full((2, 2), 0.4)]
+    imgs = [np.full((2, 2), 0.5), np.full((2, 2), 0.5)]
+    res = [np.full((2, 2), 0.1), np.full((2, 2), 0.2)]
     fp = estimate_fingerprint(imgs, res)
     assert np.allclose(fp.plane, 0.3)
 
 
 def test_zero_denominator_pixels_are_zero():
-    img = np.ones((4, 4))
+    img = np.full((4, 4), 0.5)
     img[:, 2] = 0.0  # fully dark column
-    res = np.full((4, 4), 0.1)
+    res = np.full((4, 4), 0.05)
     fp = estimate_fingerprint([img], [res])
     assert np.all(fp.plane[:, 2] == 0.0)
     assert np.allclose(fp.plane[:, 0], 0.1)
@@ -53,19 +53,21 @@ def test_saturation_exclusion():
     bright = np.full((4, 4), 1.0)
     bright[0, 0] = 0.5
     res = np.full((4, 4), 0.2)
-    acc = FingerprintAccumulator(254 / 255)
+    acc = FingerprintAccumulator()
     acc.add(bright, res)
     fp = acc.finish()
     assert fp.plane[0, 0] == pytest.approx(0.4)
     assert np.all(fp.plane.ravel()[1:] == 0.0)  # saturated pixels excluded -> zero
 
 
-@pytest.mark.parametrize("threshold, image", [(0.5, np.full((4, 4), 0.5)), (0.9, np.ones((4, 4))), (None, np.zeros((4, 4)))])
-def test_finish_refuses_an_estimate_no_sample_contributes_to(threshold, image):
-    acc = FingerprintAccumulator(threshold)
+@pytest.mark.parametrize(
+    "image", [np.full((4, 4), SATURATION_THRESHOLD), np.ones((4, 4)), np.zeros((4, 4))], ids=["at-the-cut", "saturated", "dark"]
+)
+def test_finish_refuses_an_estimate_no_sample_contributes_to(image):
+    acc = FingerprintAccumulator()
     acc.add(image, np.full((4, 4), 0.1))
     acc.add(image, np.full((4, 4), 0.2))
-    with pytest.raises(DegenerateInputError, match=f"saturation threshold {threshold} carries"):
+    with pytest.raises(DegenerateInputError, match=f"saturation threshold {SATURATION_THRESHOLD} carries"):
         acc.finish()
 
 
@@ -84,20 +86,21 @@ def test_accumulator_errors():
         acc.finish()
     with pytest.raises(ShapeError):
         acc.add(np.ones((2, 2)), np.ones((3, 2)))
-    acc.add(np.ones((2, 2)), np.ones((2, 2)))
+    acc.add(np.full((2, 2), 0.5), np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        acc.add(np.ones((2, 3)), np.ones((2, 3)))
+        acc.add(np.full((2, 3), 0.5), np.ones((2, 3)))
     assert acc.finish("c", "p").n_sources == 1
 
 
-@pytest.mark.parametrize("threshold", [None, 254 / 255])
-def test_accumulator_splits_match_estimate_fingerprint(threshold):
+@pytest.mark.parametrize("saturated", [False, True])
+def test_accumulator_splits_match_estimate_fingerprint(saturated):
     rng = np.random.default_rng(7)
     imgs = np.array([rng.random((12, 10)) for _ in range(7)])
     res = np.array([rng.standard_normal((12, 10)) for _ in range(7)])
-    imgs[:, 0, :3] = 1.0  # saturated under the threshold
-    full = FingerprintAccumulator(threshold)
-    halves = (FingerprintAccumulator(threshold), FingerprintAccumulator(threshold))
+    if saturated:
+        imgs[:, 0, :3] = 1.0  # at or above the cut in every image
+    full = FingerprintAccumulator()
+    halves = (FingerprintAccumulator(), FingerprintAccumulator())
     for i, (im, r) in enumerate(zip(imgs, res)):
         full.add(im, r)
         halves[i % 2].add(im, r)
@@ -105,15 +108,15 @@ def test_accumulator_splits_match_estimate_fingerprint(threshold):
     for acc, idx in splits:
         got = acc.finish("c", "p")
         # the estimator written out: k = sum(R * I * keep) / sum(I^2 * keep), 0 where nothing is kept
-        keep = imgs[idx] < (np.inf if threshold is None else threshold)
+        keep = imgs[idx] < SATURATION_THRESHOLD
         num = np.sum(res[idx] * imgs[idx] * keep, axis=0)
         den = np.sum(imgs[idx] ** 2 * keep, axis=0)
         want = np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
         np.testing.assert_allclose(got.plane, want, rtol=1e-12, atol=0)
-        assert (got.plane == 0.0).sum() == (den == 0.0).sum() == (3 if threshold else 0)
+        assert (got.plane == 0.0).sum() == (den == 0.0).sum() == (3 if saturated else 0)
         assert (got.camera_id, got.pipeline_id, got.n_sources) == ("c", "p", len(imgs[idx]))
-    if threshold is None:  # estimate_fingerprint is the accumulator with no cut
-        assert np.array_equal(full.finish().plane, estimate_fingerprint(list(imgs), list(res)).plane)
+    # estimate_fingerprint is the list form of the same accumulator, cut included
+    assert np.array_equal(full.finish().plane, estimate_fingerprint(list(imgs), list(res)).plane)
 
 
 def test_estimate_from_files_sums_only_below_the_saturation_cut(tmp_path):
@@ -138,6 +141,8 @@ def test_estimate_from_files_sums_only_below_the_saturation_cut(tmp_path):
     np.testing.assert_allclose(got.plane, want, rtol=1e-12, atol=0)
     assert (den == 0.0).sum() == 3 and np.all(got.plane[0, :3] == 0.0)
     assert (got.camera_id, got.pipeline_id, got.n_sources) == ("c", "p", 4)
+    # the list form over the same planes and residuals is the same estimate, bit for bit
+    assert np.array_equal(estimate_fingerprint(list(imgs), list(res)).plane, got.plane)
 
 
 @settings(max_examples=100)
@@ -156,7 +161,7 @@ def test_non_finite_input_is_rejected(h, w, data, bad, in_image):
     x = data.draw(st.integers(0, w - 1))
     (img if in_image else res)[y, x] = bad
     with pytest.raises(DegenerateInputError):
-        FingerprintAccumulator(254 / 255).add(img, res)
+        FingerprintAccumulator().add(img, res)
     with pytest.raises(DegenerateInputError):
         estimate_fingerprint([np.full((h, w), 0.5), img], [np.zeros((h, w)), res])
     with pytest.raises(DegenerateInputError):
@@ -410,6 +415,15 @@ def test_save_refuses_a_non_ascii_id(tmp_path, field):
     path = tmp_path / "sub" / "x.fp"
     with pytest.raises(ValueError, match="café"):
         save_fingerprint(Fingerprint(np.zeros((2, 2)), **{field: "café"}), path)
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("field, value", [("n_sources", 2.5), ("n_sources", True), ("camera_id", 5)])
+def test_save_refuses_a_header_the_reader_would_refuse(tmp_path, field, value):
+    # load_fingerprint reads n as an integer and each id as ASCII text
+    path = tmp_path / "sub" / "x.fp"
+    with pytest.raises(ValueError, match=f"^{field.removesuffix('_id')} .*{value!r}"):
+        save_fingerprint(Fingerprint(np.zeros((2, 2)), **{field: value}), path)
     assert not path.parent.exists()
 
 

@@ -51,6 +51,9 @@ def test_sensor_validation():
     for name, value in (("read_noise_std", -1e-3), ("shot_noise_scale", -1e-6), ("read_noise_std", float("nan"))):
         with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
             synth_sensor(64, 64, **{name: value})
+    for name, value in (("width", 128.0), ("height", 64.0), ("width", True)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SensorSpec(**{name: value})
 
 
 def test_scene_kinds():
@@ -281,6 +284,9 @@ def test_develop_validation():
     for field, value in [("white_balance", (1.0,)), ("white_balance", (1.0, 1.0, 2.0)), ("crop_offset", (1, 2, 3))]:
         with pytest.raises(ValueError, match=rf"^{field} must be a pair, got {re.escape(repr(value))}$"):
             PipelineConfig("bad", **{field: value})
+    for offset, value in (((4.0, 4.0), 4.0), ((4, True), True)):
+        with pytest.raises(ValueError, match=f"^crop_offset must be an integer, got {value!r}$"):
+            PipelineConfig("bad", crop_offset=offset)
     for offset in ((63, 0), (0, 64), (100, 100)):  # a crop that leaves one column, or none, of a 64x64 sensor
         with pytest.raises(ValueError, match=r"^crop_offset must be at most \[62, 62\] on the 64x64 sensor"):
             develop(np.zeros((64, 64)), PipelineConfig("crop", crop_offset=offset))

@@ -337,7 +337,7 @@ def test_match_windows_is_match_patch_per_origin(seed, size, stride, peak, sign)
             _assert_pinned_score(score, pinned_pce(surface, 5, peak))
 
 
-@pytest.mark.parametrize("size", [2.5, 16.0, "16", None, (16,), (16, 16, 1), (16, 16.0), (0, 16), (16, -1), 0])
+@pytest.mark.parametrize("size", [2.5, 16.0, "16", None, (16,), (16, 16, 1), (16, 16.0), (0, 16), (16, -1), 0, (32, True), True])
 def test_match_windows_size_is_an_int_or_a_pair(size):
     rng = np.random.default_rng(13)
     img = rng.random((32, 32))
